@@ -19,13 +19,18 @@
 // forked world that diverges from the cold one fails the bench — so the
 // repetitions double as the snapshot determinism gate. The setup-vs-measure
 // wall split and the amortization from forking are recorded in the JSON.
+#include <malloc.h>
+
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bufferpool/cxl_buffer_pool.h"
 #include "common/prof.h"
 #include "harness/instance_driver.h"
 
@@ -207,11 +212,12 @@ void PrintScaling(const std::vector<ScalingPoint>& points) {
 
 /// One (instances, mode) cell of the scale-cost sweep. sched_ops and
 /// window_advances are measurement-window deltas of the monotone executor
-/// and channel diagnostics (see PoolingResult); divided by measure_steps
-/// they give the per-lane-step bookkeeping cost that must stay flat as the
-/// world grows. Wall time is reported honestly alongside but the counters
-/// are the primary evidence — this host is too small/noisy for wall-clock
-/// to gate anything.
+/// and channel diagnostics (see PoolingResult) of the cold rep; divided by
+/// measure_steps they give the per-lane-step bookkeeping cost that must
+/// stay flat as the world grows. Later reps fork the cold rep's snapshot;
+/// the memory ledger is read after the last one, so its snapshot_saved is
+/// what a read-only fork writes. Wall time is reported honestly alongside
+/// (min/median/max over reps) but the counters are the primary evidence.
 struct ScaleCostPoint {
   uint32_t instances = 0;
   bool epoch = false;
@@ -219,7 +225,18 @@ struct ScaleCostPoint {
   uint64_t measure_steps = 0;
   uint64_t sched_ops = 0;
   uint64_t window_advances = 0;
-  double measure_real_sec = 0;
+  std::vector<double> measure_real_secs;  // one per rep, sorted
+  harness::SimWorld::MemoryLedger memory;
+  uint64_t region_bytes = 0;  // one instance's CXL pool region
+  double base_rss_mb = 0;     // VmRSS before the point's world was built
+  double peak_rss_mb = 0;     // VmHWM over this point's reps
+  /// Peak host memory the point's world added to the process.
+  double WorldPeakMb() const { return peak_rss_mb - base_rss_mb; }
+  double MeasureRealSec(double quantile) const {
+    return measure_real_secs[static_cast<size_t>(
+        quantile * static_cast<double>(measure_real_secs.size() - 1))];
+  }
+  uint64_t PerInstance(uint64_t bytes) const { return bytes / instances; }
   double SchedOpsPerStep() const {
     return measure_steps > 0 ? static_cast<double>(sched_ops) / measure_steps
                              : 0;
@@ -255,13 +272,45 @@ const ScaleBaseline* BaselineFor(uint32_t instances, bool epoch) {
   return nullptr;
 }
 
+/// Reads a "<key>: <n> kB" line of a /proc file, in MB (0 if absent).
+double ProcKbLineMb(const char* path, const char* key) {
+  FILE* f = std::fopen(path, "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  double mb = 0;
+  const size_t key_len = std::strlen(key);
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, key, key_len) == 0 && line[key_len] == ':') {
+      mb = std::atof(line + key_len + 1) / 1024.0;
+      break;
+    }
+  }
+  std::fclose(f);
+  return mb;
+}
+
+/// Resets VmHWM to the current RSS, so the next read is this point's peak
+/// (Linux clear_refs value 5). Without it the peak is the process's so far.
+void ResetPeakRss() {
+  if (FILE* f = std::fopen("/proc/self/clear_refs", "w")) {
+    std::fputs("5", f);
+    std::fclose(f);
+  }
+}
+
+/// Repetitions per scale-cost point: one cold run that captures a
+/// snapshot, then forks of it.
+constexpr int kScaleCostReps = 3;
+
 /// Sweeps the fig7 CXL pooling point over instance counts, serial and
 /// epoch-parallel (1 worker — counter totals, not speed, are the object).
 /// Short 40 ms windows: cold-building a 256-instance world dominates the
 /// cost anyway, and per-step ratios converge within a few thousand steps.
-/// No WorldCache: one rep per point, and holding a 256-instance world would
-/// only add memory pressure.
-std::vector<ScaleCostPoint> RunScaleCost(const std::vector<uint32_t>& counts) {
+/// Each point's world lives in its own WorldCache, dropped before the next
+/// point, so only one large world is held at a time. Every rep must retire
+/// the cold rep's lane_steps (fork = cold); a mismatch aborts the bench.
+std::vector<ScaleCostPoint> RunScaleCost(const std::vector<uint32_t>& counts,
+                                         int reps) {
   std::vector<ScaleCostPoint> points;
   for (uint32_t instances : counts) {
     for (int mode = 0; mode < 2; mode++) {
@@ -270,15 +319,32 @@ std::vector<ScaleCostPoint> RunScaleCost(const std::vector<uint32_t>& counts) {
       c.instances = instances;
       c.measure = Scaled(Millis(40));
       c.world_threads = epoch ? 1 : 0;
-      const harness::PoolingResult r = harness::RunPooling(c, nullptr);
       ScaleCostPoint p;
       p.instances = instances;
       p.epoch = epoch;
-      p.lane_steps = r.lane_steps;
-      p.measure_steps = r.measure_steps;
-      p.sched_ops = r.sched_ops;
-      p.window_advances = r.window_advances;
-      p.measure_real_sec = r.measure_real_sec;
+      p.region_bytes = bufferpool::CxlBufferPool::RegionBytes(
+          harness::SysbenchDatasetPages(c.sysbench));
+      // Hand freed heap back to the OS first, so the new world's pages
+      // are fresh faults and base-to-peak is its real footprint.
+      malloc_trim(0);
+      p.base_rss_mb = ProcKbLineMb("/proc/self/status", "VmRSS");
+      ResetPeakRss();
+      harness::WorldCache cache;
+      for (int rep = 0; rep < reps; rep++) {
+        const harness::PoolingResult r = harness::RunPooling(c, &cache);
+        if (rep == 0) {
+          p.lane_steps = r.lane_steps;
+          p.measure_steps = r.measure_steps;
+          p.sched_ops = r.sched_ops;
+          p.window_advances = r.window_advances;
+        }
+        POLAR_CHECK_MSG(r.lane_steps == p.lane_steps,
+                        "forked scale-cost rep diverged from the cold rep");
+        p.measure_real_secs.push_back(r.measure_real_sec);
+        p.memory = r.memory;
+      }
+      p.peak_rss_mb = ProcKbLineMb("/proc/self/status", "VmHWM");
+      std::sort(p.measure_real_secs.begin(), p.measure_real_secs.end());
       points.push_back(p);
     }
   }
@@ -292,16 +358,29 @@ void PrintScaleCost(const std::vector<ScaleCostPoint>& points) {
       "(host cpus: " +
           std::to_string(std::thread::hardware_concurrency()) + ")",
       {"instances", "mode", "measure steps", "sched ops/step", "window adv/step",
-       "real s"});
+       "real s (med)", "dev MB/inst", "saved KB/inst", "store MB/inst",
+       "redo MB/inst", "world peak MB"});
+  auto mb = [](uint64_t bytes) { return static_cast<double>(bytes) / 1048576; };
   for (const ScaleCostPoint& p : points) {
-    char inst[16], steps[32], sched[32], adv[32], real[32];
+    char inst[16], steps[32], sched[32], adv[32], real[32], dev[32],
+        saved[32], store[32], redo[32], peak[32];
     std::snprintf(inst, sizeof(inst), "%u", p.instances);
     std::snprintf(steps, sizeof(steps), "%llu",
                   static_cast<unsigned long long>(p.measure_steps));
     std::snprintf(sched, sizeof(sched), "%.2f", p.SchedOpsPerStep());
     std::snprintf(adv, sizeof(adv), "%.4f", p.WindowAdvPerStep());
-    std::snprintf(real, sizeof(real), "%.3f", p.measure_real_sec);
-    table.AddRow({inst, p.epoch ? "epoch" : "serial", steps, sched, adv, real});
+    std::snprintf(real, sizeof(real), "%.3f", p.MeasureRealSec(0.5));
+    std::snprintf(dev, sizeof(dev), "%.2f",
+                  mb(p.PerInstance(p.memory.device_allocated)));
+    std::snprintf(saved, sizeof(saved), "%.1f",
+                  mb(p.PerInstance(p.memory.snapshot_saved)) * 1024);
+    std::snprintf(store, sizeof(store), "%.2f",
+                  mb(p.PerInstance(p.memory.page_store_images)));
+    std::snprintf(redo, sizeof(redo), "%.2f",
+                  mb(p.PerInstance(p.memory.redo_records)));
+    std::snprintf(peak, sizeof(peak), "%.0f", p.WorldPeakMb());
+    table.AddRow({inst, p.epoch ? "epoch" : "serial", steps, sched, adv, real,
+                  dev, saved, store, redo, peak});
   }
   table.Print();
 }
@@ -455,12 +534,20 @@ void WriteScaleCostJson(FILE* f, const std::vector<ScaleCostPoint>& points) {
                "lanes/instance, 40ms warmup + 40ms measure, serial vs "
                "epoch-parallel (1 worker)\",\n");
   std::fprintf(f,
-               "    \"note\": \"sched_ops and window_advances are "
-               "measurement-window counter deltas; per-step ratios are the "
-               "gated evidence, wall time is reported honestly but moves "
-               "with host load\",\n");
+               "    \"note\": \"sched_ops and window_advances are the cold "
+               "rep's measurement-window counter deltas; per-step ratios are "
+               "the gated evidence, wall time (min/median/max over reps: one "
+               "cold run, then forks of its snapshot) is reported honestly "
+               "but moves with host load. The memory ledger is read after "
+               "the last fork, in bytes per instance: device chunks written, "
+               "chunk bytes the snapshot saved, page-store images, retained "
+               "redo records. peak_rss_mb is the process VmHWM over the "
+               "point's reps and base_rss_mb the RSS before its world was "
+               "built (after returning freed heap to the OS); their "
+               "difference is the world's footprint\",\n");
   std::fprintf(f, "    \"host_cpus\": %u,\n",
                std::thread::hardware_concurrency());
+  std::fprintf(f, "    \"reps\": %d,\n", kScaleCostReps);
   std::fprintf(f,
                "    \"baseline\": {\n"
                "      \"note\": \"pre-PR binary-heap scheduler + eager "
@@ -493,14 +580,31 @@ void WriteScaleCostJson(FILE* f, const std::vector<ScaleCostPoint>& points) {
                  "\"window_advances\": %llu, \"sched_ops_per_step\": %.2f, "
                  "\"window_advances_per_step\": %.4f, "
                  "\"sched_ops_win_vs_baseline\": %.2f, "
-                 "\"measure_real_sec\": %.4f}%s\n",
+                 "\"measure_real_sec\": {\"min\": %.4f, \"median\": %.4f, "
+                 "\"max\": %.4f}, \"region_bytes_per_instance\": %llu, "
+                 "\"memory_bytes_per_instance\": {\"device_allocated\": "
+                 "%llu, \"snapshot_saved\": %llu, \"page_store_images\": "
+                 "%llu, \"redo_records\": %llu}, \"base_rss_mb\": %.1f, "
+                 "\"peak_rss_mb\": %.1f}%s\n",
                  p.instances, p.epoch ? "epoch" : "serial",
                  static_cast<unsigned long long>(p.lane_steps),
                  static_cast<unsigned long long>(p.measure_steps),
                  static_cast<unsigned long long>(p.sched_ops),
                  static_cast<unsigned long long>(p.window_advances),
                  p.SchedOpsPerStep(), p.WindowAdvPerStep(), win,
-                 p.measure_real_sec, i + 1 < points.size() ? "," : "");
+                 p.MeasureRealSec(0), p.MeasureRealSec(0.5),
+                 p.MeasureRealSec(1),
+                 static_cast<unsigned long long>(p.region_bytes),
+                 static_cast<unsigned long long>(
+                     p.PerInstance(p.memory.device_allocated)),
+                 static_cast<unsigned long long>(
+                     p.PerInstance(p.memory.snapshot_saved)),
+                 static_cast<unsigned long long>(
+                     p.PerInstance(p.memory.page_store_images)),
+                 static_cast<unsigned long long>(
+                     p.PerInstance(p.memory.redo_records)),
+                 p.base_rss_mb, p.peak_rss_mb,
+                 i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n");
   std::fprintf(f, "  },\n");
@@ -575,11 +679,14 @@ void WriteJson(const RepSeries& cxl, const RepSeries& rdma, int reps,
 }
 
 /// tools/check.sh --scale: POLAR_SCALE_EXPECT="<serial_steps>,<epoch_steps>"
-/// short-circuits the bench into the 64-instance scale-cost pair alone —
-/// serial vs epoch-parallel lane_steps are pinned (the at-scale determinism
-/// gate), and POLAR_MAX_SCHED_OPS_PER_STEP caps the per-step scheduler work
-/// so an O(log lanes) or O(lanes) regression in the scheduler fails CI even
+/// short-circuits the bench into the 64-instance scale-cost pair alone (a
+/// cold run and one fork of it per mode) — serial vs epoch-parallel
+/// lane_steps are pinned (the at-scale determinism gate), and
+/// POLAR_MAX_SCHED_OPS_PER_STEP caps the per-step scheduler work so an
+/// O(log lanes) or O(lanes) regression in the scheduler fails CI even
 /// though wall time on a loaded runner would hide it.
+/// kMaxDeviceSlackPages and kMaxSavedFraction are the bytes-per-instance
+/// ceilings on the memory ledger, read after the fork.
 int ScaleGate(const char* expect) {
   unsigned long long want_serial = 0;
   unsigned long long want_epoch = 0;
@@ -587,7 +694,7 @@ int ScaleGate(const char* expect) {
     std::fprintf(stderr, "bad POLAR_SCALE_EXPECT: %s\n", expect);
     return 2;
   }
-  const std::vector<ScaleCostPoint> points = RunScaleCost({64});
+  const std::vector<ScaleCostPoint> points = RunScaleCost({64}, 2);
   PrintScaleCost(points);
   const ScaleCostPoint& serial = points[0];
   const ScaleCostPoint& epoch = points[1];
@@ -622,6 +729,49 @@ int ScaleGate(const char* expect) {
     std::printf("sched_ops/step within ceiling %.2f (serial %.2f, epoch %.2f)\n",
                 ceiling, serial.SchedOpsPerStep(), epoch.SchedOpsPerStep());
   }
+  // Memory ceilings, per instance: the sparse devices may hold at most the
+  // pool region plus kMaxDeviceSlackPages pages, and a read-only fork may
+  // make the snapshot save at most kMaxSavedFraction of the device bytes
+  // (copy-before-write of pool metadata only).
+  constexpr uint64_t kMaxDeviceSlackPages = 1;
+  constexpr double kMaxSavedFraction = 0.01;
+  for (const ScaleCostPoint& p : points) {
+    const uint64_t dev = p.PerInstance(p.memory.device_allocated);
+    if (dev > p.region_bytes + kMaxDeviceSlackPages * kPageSize) {
+      std::fprintf(stderr,
+                   "device bytes per instance (%s): %llu > region %llu + "
+                   "%llu page(s) — the device backs bytes no tenant wrote\n",
+                   p.epoch ? "epoch" : "serial",
+                   static_cast<unsigned long long>(dev),
+                   static_cast<unsigned long long>(p.region_bytes),
+                   static_cast<unsigned long long>(kMaxDeviceSlackPages));
+      return 1;
+    }
+    const double saved_frac = static_cast<double>(p.memory.snapshot_saved) /
+                              static_cast<double>(p.memory.device_allocated);
+    if (saved_frac > kMaxSavedFraction) {
+      std::fprintf(stderr,
+                   "snapshot saved %.4f of device bytes after a read-only "
+                   "fork (%s) > ceiling %.4f — copy-before-write is saving "
+                   "more than pool metadata\n",
+                   saved_frac, p.epoch ? "epoch" : "serial", kMaxSavedFraction);
+      return 1;
+    }
+  }
+  std::printf("memory within ceilings: device bytes/instance serial %llu, "
+              "epoch %llu (region %llu + %llu page(s)); snapshot saved "
+              "serial %.4f, epoch %.4f of device bytes (ceiling %.4f)\n",
+              static_cast<unsigned long long>(
+                  serial.PerInstance(serial.memory.device_allocated)),
+              static_cast<unsigned long long>(
+                  epoch.PerInstance(epoch.memory.device_allocated)),
+              static_cast<unsigned long long>(serial.region_bytes),
+              static_cast<unsigned long long>(kMaxDeviceSlackPages),
+              static_cast<double>(serial.memory.snapshot_saved) /
+                  static_cast<double>(serial.memory.device_allocated),
+              static_cast<double>(epoch.memory.snapshot_saved) /
+                  static_cast<double>(epoch.memory.device_allocated),
+              kMaxSavedFraction);
   return 0;
 }
 
@@ -638,7 +788,7 @@ int Main() {
   // how the committed baseline constants were measured.
   if (const char* sc_only = std::getenv("POLAR_SCALE_COST_ONLY");
       sc_only != nullptr && std::atoi(sc_only) != 0) {
-    PrintScaleCost(RunScaleCost({8u, 32u, 64u, 256u}));
+    PrintScaleCost(RunScaleCost({8u, 32u, 64u, 256u}, kScaleCostReps));
     return 0;
   }
   // Five reps by default: forked reps cost roughly the measurement window
@@ -690,7 +840,7 @@ int Main() {
     PrintScaling(scaling);
     // Scale-cost sweep: bookkeeping work per lane-step at 8..256 instances,
     // gated against the committed pre-PR baseline (counters, not wall time).
-    scale_cost = RunScaleCost({8u, 32u, 64u, 256u});
+    scale_cost = RunScaleCost({8u, 32u, 64u, 256u}, kScaleCostReps);
     PrintScaleCost(scale_cost);
   }
 

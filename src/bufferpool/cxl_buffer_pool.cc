@@ -30,7 +30,8 @@ CxlBufferPool::CxlBufferPool(Options options, MemOffset region,
   // HeaderRaw/MetaRaw access the device bytes in place as 8-byte-aligned
   // structs; regions are page-granular so this only fails if the device's
   // backing allocation itself is misaligned.
-  POLAR_CHECK(reinterpret_cast<uintptr_t>(acc_->Raw(HeaderOff())) % 8 == 0);
+  POLAR_CHECK(reinterpret_cast<uintptr_t>(acc_->RawRead(HeaderOff())) % 8 ==
+              0);
 }
 
 Result<std::unique_ptr<CxlBufferPool>> CxlBufferPool::Create(
@@ -95,6 +96,9 @@ void CxlBufferPool::StoreMeta(sim::ExecContext& ctx, uint32_t block,
 }
 uint8_t* CxlBufferPool::FrameRaw(uint32_t block) {
   return acc_->Raw(FrameOff(block));
+}
+const uint8_t* CxlBufferPool::FrameRead(uint32_t block) const {
+  return acc_->RawRead(FrameOff(block));
 }
 void CxlBufferPool::ChargeFrameStream(sim::ExecContext& ctx, uint32_t block,
                                       bool write) {
@@ -188,8 +192,8 @@ uint32_t CxlBufferPool::EvictTail(sim::ExecContext& ctx) {
     if (fix_count_[b] == 0) {
       if (dirty_[b] != 0) {
         ChargeFrameStream(ctx, b, /*write=*/false);
-        EnsureWalDurable(ctx, FrameRaw(b));
-        store_->WritePage(ctx, m.id, FrameRaw(b));
+        EnsureWalDurable(ctx, FrameRead(b));
+        store_->WritePage(ctx, m.id, FrameRead(b));
         stats_.dirty_writebacks++;
         dirty_[b] = 0;
       }
@@ -235,7 +239,11 @@ Result<PageRef> CxlBufferPool::FetchImpl(sim::ExecContext& ctx,
     SetLruMutex(ctx, 0);
     FlushCharges(ctx, log);
     fix_count_[b]++;
-    return PageRef{b, FrameRaw(b), acc_->space(), acc_->PhysAddr(FrameOff(b))};
+    // A read fix gets the read-intent frame; a write fix saves the frame's
+    // chunk for an armed device snapshot first. Same address either way.
+    uint8_t* data =
+        for_write ? FrameRaw(b) : const_cast<uint8_t*>(FrameRead(b));
+    return PageRef{b, data, acc_->space(), acc_->PhysAddr(FrameOff(b))};
   }
 
   stats_.misses++;
@@ -256,7 +264,7 @@ Result<PageRef> CxlBufferPool::FetchImpl(sim::ExecContext& ctx,
   // The frame was just installed from storage; adopt the page's own LSN
   // (bytes [8,16) of the header — see engine/page.h layout contract).
   Lsn page_lsn = 0;
-  std::memcpy(&page_lsn, FrameRaw(b) + 8, sizeof(page_lsn));
+  std::memcpy(&page_lsn, FrameRead(b) + 8, sizeof(page_lsn));
   m.lsn = page_lsn;
   InUsePushFront(ctx, b, &m);
   SetLruMutex(ctx, 0);
@@ -338,6 +346,9 @@ Status CxlBufferPool::UpgradeToWriteImpl(sim::ExecContext& ctx,
   ChargeMeta(ctx, ref.block, /*write=*/false);
   MetaRaw(ref.block)->lock_state = 1;
   ChargeMeta(ctx, ref.block, /*write=*/true);
+  // The fix turns into a write: save the frame's chunk before the caller
+  // writes through ref.data (the address does not change).
+  POLAR_CHECK(FrameRaw(ref.block) == ref.data);
   return Status::OK();
 }
 
@@ -359,8 +370,8 @@ void CxlBufferPool::FlushDirtyPages(sim::ExecContext& ctx) {
     const CxlBlockMeta m = LoadMeta(ctx, b);
     if (m.in_use == 0) continue;
     ChargeFrameStream(ctx, b, /*write=*/false);
-    EnsureWalDurable(ctx, FrameRaw(b));
-    store_->WritePage(ctx, m.id, FrameRaw(b));
+    EnsureWalDurable(ctx, FrameRead(b));
+    store_->WritePage(ctx, m.id, FrameRead(b));
     dirty_[b] = 0;
   }
 }

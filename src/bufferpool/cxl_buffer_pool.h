@@ -98,7 +98,10 @@ class CxlBufferPool final : public StaticDispatchPool<CxlBufferPool> {
   CxlBlockMeta LoadMeta(sim::ExecContext& ctx, uint32_t block);
   void StoreMeta(sim::ExecContext& ctx, uint32_t block,
                  const CxlBlockMeta& m);
+  /// Frame bytes with write intent (may save the chunk for an armed device
+  /// snapshot) / with read intent. Both name the same address.
   uint8_t* FrameRaw(uint32_t block);
+  const uint8_t* FrameRead(uint32_t block) const;
   /// Charge a full-frame streaming access (page rebuild during recovery).
   void ChargeFrameStream(sim::ExecContext& ctx, uint32_t block, bool write);
   /// Charge a partial-frame cached access (recovery scanning page headers).
@@ -133,7 +136,8 @@ class CxlBufferPool final : public StaticDispatchPool<CxlBufferPool> {
   static constexpr uint32_t kEmergencyFrames = 8;
 
   /// DRAM-side state only: the CXL-resident header/meta/frames live in
-  /// fabric device memory, which the world snapshot captures wholesale.
+  /// fabric device memory, which the device snapshots cover
+  /// (copy-before-write chunks, see cxl/cxl_device.h).
   std::unique_ptr<PoolSnapshot> CaptureState() const override;
   void RestoreState(const PoolSnapshot& s) override;
 
@@ -172,6 +176,7 @@ class CxlBufferPool final : public StaticDispatchPool<CxlBufferPool> {
   /// the same order as the LoadPod/StorePod pairs it replaces — only the
   /// host-side copying is gone. Legal in-place: both structs are trivially
   /// copyable aggregates and the constructor checks the region's alignment.
+  /// Both carry write intent: the list helpers update what they read.
   CxlPoolHeader* HeaderRaw() {
     return reinterpret_cast<CxlPoolHeader*>(acc_->Raw(HeaderOff()));
   }

@@ -38,8 +38,9 @@ Status CxlFabric::AddDevice(uint64_t capacity, uint32_t switch_idx) {
 void CxlFabric::RebuildLayout() {
   decoder_ = fabric::HdmDecoder(device_capacity_, device_switch_, interleave_);
   capacity_ = decoder_.capacity();
+  single_device_ = devices_.size() == 1 ? devices_[0].get() : nullptr;
   single_device_data_ =
-      devices_.size() == 1 ? devices_[0]->data() : nullptr;
+      single_device_ != nullptr ? single_device_->data() : nullptr;
   // All-pairs (home switch, device) route costs. Routes themselves are
   // fixed at topology construction; this just flattens them — plus the
   // destination device's port channel — into per-access RouteCost entries.
@@ -88,6 +89,11 @@ Result<CxlAccessor*> CxlFabric::AttachHost(NodeId node, bool remote_numa,
 
 uint8_t* CxlFabric::TranslateSlow(MemOffset off) {
   const fabric::HdmDecoder::Target t = decoder_.Decode(off);
+  return devices_[t.device]->WritePtr(t.offset);
+}
+
+const uint8_t* CxlFabric::TranslateReadSlow(MemOffset off) const {
+  const fabric::HdmDecoder::Target t = decoder_.Decode(off);
   return devices_[t.device]->data() + t.offset;
 }
 
@@ -96,11 +102,11 @@ uint64_t CxlFabric::ContiguousAtSlow(MemOffset off) const {
   return decoder_.ContiguousAt(off);
 }
 
-void CxlFabric::CopyOutSlow(MemOffset off, void* dst, uint64_t len) {
+void CxlFabric::CopyOutSlow(MemOffset off, void* dst, uint64_t len) const {
   uint8_t* out = static_cast<uint8_t*>(dst);
   while (len > 0) {
     const uint64_t chunk = std::min(len, ContiguousAt(off));
-    std::memcpy(out, Translate(off), chunk);
+    std::memcpy(out, TranslateRead(off), chunk);
     off += chunk;
     out += chunk;
     len -= chunk;
@@ -111,11 +117,32 @@ void CxlFabric::CopyInSlow(MemOffset off, const void* src, uint64_t len) {
   const uint8_t* in = static_cast<const uint8_t*>(src);
   while (len > 0) {
     const uint64_t chunk = std::min(len, ContiguousAt(off));
-    std::memcpy(Translate(off), in, chunk);
+    const fabric::HdmDecoder::Target t = decoder_.Decode(off);
+    devices_[t.device]->Write(t.offset, in, chunk);
     off += chunk;
     in += chunk;
     len -= chunk;
   }
+}
+
+void CxlFabric::CaptureDevices() {
+  for (auto& d : devices_) d->CaptureSnapshot();
+}
+
+void CxlFabric::RestoreDevices() {
+  for (auto& d : devices_) d->RestoreSnapshot();
+}
+
+uint64_t CxlFabric::DeviceAllocatedBytes() const {
+  uint64_t total = 0;
+  for (const auto& d : devices_) total += d->allocated_bytes();
+  return total;
+}
+
+uint64_t CxlFabric::DeviceSavedBytes() const {
+  uint64_t total = 0;
+  for (const auto& d : devices_) total += d->saved_bytes();
+  return total;
 }
 
 uint64_t CxlFabric::host_port_bytes() const {

@@ -35,8 +35,15 @@ class CxlFabric;
 
 /// A host's window onto the fabric (the mmap'ed devdax region). Load/Store
 /// move real bytes and advance the lane clock through the host's
-/// MemorySpace; Raw() exposes the backing bytes for in-place structures
-/// (callers must still Touch() what they dereference).
+/// MemorySpace; Raw()/RawRead() expose the backing bytes for in-place
+/// structures (callers must still Touch() what they dereference).
+///
+/// Every byte access carries an intent, because device snapshots are
+/// copy-before-write (see cxl_device.h). Store, StoreUncached, StreamWrite
+/// and Raw() are writes: they record the page chunk as written and, under
+/// an armed snapshot, save it first. Load, LoadUncached, StreamRead and
+/// RawRead() are reads and never do. Writing through a RawRead() pointer is
+/// a bug: a write the snapshot did not see is not undone by a restore.
 class CxlAccessor {
  public:
   CxlAccessor(CxlFabric* fabric, NodeId node, bool remote_numa,
@@ -116,8 +123,12 @@ class CxlAccessor {
     StoreUncached(ctx, off, &v, sizeof(T));
   }
 
-  /// Direct pointer to the device bytes backing `off`.
+  /// Direct pointer to the device bytes backing `off`, with write intent
+  /// for the page chunk at `off`; the address is stable for the fabric's
+  /// lifetime.
   uint8_t* Raw(MemOffset off);
+  /// Read-intent pointer to the bytes backing `off` (never saves anything).
+  const uint8_t* RawRead(MemOffset off) const;
 
   sim::MemorySpace* space() { return space_.get(); }
   NodeId node() const { return node_; }
@@ -180,21 +191,28 @@ class CxlFabric {
   /// Total pooled capacity.
   uint64_t capacity() const { return capacity_; }
 
-  /// Resolve a fabric offset to its backing device bytes. The returned
-  /// pointer is only valid up to the end of the backing device (or
-  /// interleave stripe); use CopyOut/CopyIn for longer ranges.
-  /// (Inline single-device fast path: the common deployment backs the
-  /// whole fabric with one device — any interleave of one device is the
-  /// identity — and this is called once per simulated load/store, so the
-  /// decoder is hoisted out of the hot path.)
+  /// Resolve a fabric offset to its backing device bytes, with write
+  /// intent (Translate) or read intent (TranslateRead). The pointer is only
+  /// valid up to the end of the backing device (or interleave stripe); use
+  /// CopyOut/CopyIn for longer ranges. Write intent covers the page chunk
+  /// at `off` only (see CxlMemoryDevice::WritePtr). (Inline single-device
+  /// fast path: the common deployment backs the whole fabric with one
+  /// device — any interleave of one device is the identity — and this is
+  /// called once per simulated load/store, so the decoder is hoisted out of
+  /// the hot path.)
   uint8_t* Translate(MemOffset off) {
     POLAR_CHECK_MSG(off < capacity_, "fabric offset out of range");
-    if (single_device_data_ != nullptr) return single_device_data_ + off;
+    if (single_device_ != nullptr) return single_device_->WritePtr(off);
     return TranslateSlow(off);
   }
+  const uint8_t* TranslateRead(MemOffset off) const {
+    POLAR_CHECK_MSG(off < capacity_, "fabric offset out of range");
+    if (single_device_data_ != nullptr) return single_device_data_ + off;
+    return TranslateReadSlow(off);
+  }
 
-  /// Device-boundary-safe bulk copies.
-  void CopyOut(MemOffset off, void* dst, uint64_t len) {
+  /// Device-boundary-safe bulk copies (CopyOut reads, CopyIn writes).
+  void CopyOut(MemOffset off, void* dst, uint64_t len) const {
     if (single_device_data_ != nullptr) {
       POLAR_CHECK(off + len <= capacity_);
       std::memcpy(dst, single_device_data_ + off, len);
@@ -203,9 +221,9 @@ class CxlFabric {
     CopyOutSlow(off, dst, len);
   }
   void CopyIn(MemOffset off, const void* src, uint64_t len) {
-    if (single_device_data_ != nullptr) {
+    if (single_device_ != nullptr) {
       POLAR_CHECK(off + len <= capacity_);
-      std::memcpy(single_device_data_ + off, src, len);
+      single_device_->Write(off, src, len);
       return;
     }
     CopyInSlow(off, src, len);
@@ -213,12 +231,22 @@ class CxlFabric {
 
   /// Bytes mapped contiguously on one device starting at `off`.
   uint64_t ContiguousAt(MemOffset off) const {
-    if (single_device_data_ != nullptr) {
+    if (single_device_ != nullptr) {
       POLAR_CHECK(off < capacity_);
       return capacity_ - off;
     }
     return ContiguousAtSlow(off);
   }
+
+  /// Device snapshots (copy-before-write, see cxl_device.h): arms every
+  /// device against its current contents / rewinds every device to them.
+  void CaptureDevices();
+  void RestoreDevices();
+  /// Host bytes behind the devices: chunks ever written, and captured
+  /// chunk contents the armed snapshots hold.
+  uint64_t DeviceAllocatedBytes() const;
+  uint64_t DeviceSavedBytes() const;
+  CxlMemoryDevice& device(size_t i) { return *devices_[i]; }
 
   /// The first (legacy single-) switch.
   CxlSwitch& cxl_switch() { return topo_.sw(0); }
@@ -296,8 +324,9 @@ class CxlFabric {
   };
 
   uint8_t* TranslateSlow(MemOffset off);
+  const uint8_t* TranslateReadSlow(MemOffset off) const;
   uint64_t ContiguousAtSlow(MemOffset off) const;
-  void CopyOutSlow(MemOffset off, void* dst, uint64_t len);
+  void CopyOutSlow(MemOffset off, void* dst, uint64_t len) const;
   void CopyInSlow(MemOffset off, const void* src, uint64_t len);
   /// Rebuilds the decoder + per-(switch, device) route table after a
   /// device is added (construction-time only).
@@ -314,8 +343,10 @@ class CxlFabric {
   std::vector<sim::BandwidthChannel*> device_port_;  // per-device port chan
   std::vector<sim::RouteCost> routes_;  // [home_switch * num_devices + dev]
   uint64_t capacity_ = 0;
-  /// Backing bytes when exactly one device serves the fabric (else null).
-  uint8_t* single_device_data_ = nullptr;
+  /// The device when exactly one serves the fabric (else null).
+  CxlMemoryDevice* single_device_ = nullptr;
+  /// Its backing bytes (read path: no device indirection).
+  const uint8_t* single_device_data_ = nullptr;
   std::vector<std::unique_ptr<CxlAccessor>> hosts_;
   std::vector<std::unique_ptr<HostRouter>> routers_;
   faults::FaultInjector* faults_ = nullptr;
@@ -329,6 +360,10 @@ inline uint64_t CxlAccessor::PhysAddr(MemOffset off) const {
 
 inline uint8_t* CxlAccessor::Raw(MemOffset off) {
   return fabric_->Translate(off);
+}
+
+inline const uint8_t* CxlAccessor::RawRead(MemOffset off) const {
+  return fabric_->TranslateRead(off);
 }
 
 inline void CxlAccessor::Load(sim::ExecContext& ctx, MemOffset off, void* dst,

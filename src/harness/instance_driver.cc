@@ -275,6 +275,7 @@ PoolingResult RunPooling(const PoolingConfig& config, WorldCache* cache) {
   result.drain_divergence = executor.drain_divergence() - divergence_before;
   result.sched_ops = executor.sched_ops() - sched_ops_before;
   result.window_advances = world.WindowAdvances() - window_adv_before;
+  result.memory = world.MemoryBytes();
   return result;
 }
 

@@ -92,6 +92,9 @@ struct PoolingResult {
   /// costs tracked in BENCH_sim_throughput.json's scale_cost section.
   uint64_t sched_ops = 0;
   uint64_t window_advances = 0;
+  /// Host memory ledger of the world at the end of the run (after a fork,
+  /// snapshot_saved is what the forked window wrote).
+  SimWorld::MemoryLedger memory;
 };
 
 /// Runs one pooling experiment end to end (build, load, warm up, measure).

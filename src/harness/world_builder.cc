@@ -252,17 +252,29 @@ uint64_t SimWorld::WindowAdvances() const {
   return t;
 }
 
-/// Everything mutable in the simulated world, captured by value. The
-/// page-store and remote-pool page maps are shared_ptr snapshots (CoW:
-/// WritePage clones a page only while a snapshot still references it), the
-/// rest is deep-copied — pool frames, page tables, LRU lists, cache-sim
-/// arrays, channel ledgers and device bytes up to the allocation watermark.
+SimWorld::MemoryLedger SimWorld::MemoryBytes() const {
+  MemoryLedger m;
+  m.device_allocated = fabric_.DeviceAllocatedBytes();
+  m.snapshot_saved = fabric_.DeviceSavedBytes();
+  for (const Instance& inst : instances_) {
+    m.page_store_images += inst.store->ImageBytes();
+    m.redo_records += inst.log->RetainedBytes();
+  }
+  return m;
+}
+
+/// Everything mutable in the simulated world outside the CXL devices,
+/// captured by value. The page-store and remote-pool page maps are
+/// shared_ptr snapshots (CoW: WritePage clones a page only while a snapshot
+/// still references it), the rest is deep-copied — DRAM pool frames, page
+/// tables, LRU lists, cache-sim arrays and channel ledgers. Device bytes are
+/// not here: each device keeps its own copy-before-write save slots (see
+/// cxl/cxl_device.h).
 struct SimWorld::Snapshot {
   sim::Executor::State executor;
   sim::BandwidthChannel::State client_net;
   fabric::FabricTopology::State fabric_channels;
   std::vector<sim::MemorySpace::State> host_spaces;  // one per host port
-  std::vector<uint8_t> device_bytes;  // [0, HighWater())
   rdma::RdmaNetwork::State net;
   rdma::RemoteMemoryPool::State remote;
   storage::SimDisk::State disk;
@@ -289,11 +301,7 @@ void SimWorld::CaptureSnapshot() {
   for (cxl::CxlAccessor* acc : host_accs_) {
     s->host_spaces.push_back(acc->space()->Capture());
   }
-  const MemOffset high_water = manager_->HighWater();
-  s->device_bytes.resize(high_water);
-  if (high_water > 0) {
-    fabric_.CopyOut(0, s->device_bytes.data(), high_water);
-  }
+  fabric_.CaptureDevices();
   s->net = net_.Capture();
   s->remote = remote_->Capture();
   s->disk = disk_->Capture();
@@ -322,9 +330,7 @@ void SimWorld::RestoreSnapshot() {
   for (size_t i = 0; i < host_accs_.size(); i++) {
     host_accs_[i]->space()->Restore(s.host_spaces[i]);
   }
-  if (!s.device_bytes.empty()) {
-    fabric_.CopyIn(0, s.device_bytes.data(), s.device_bytes.size());
-  }
+  fabric_.RestoreDevices();
   net_.Restore(s.net);
   remote_->Restore(s.remote);
   disk_->Restore(s.disk);

@@ -10,8 +10,11 @@
 // same lane_steps, metrics, histograms, bandwidth probes. The snapshot is a
 // restore-in-place design: RestoreSnapshot() rewinds the SAME world object
 // back to its captured state, so raw cross-component pointers (MemorySpace
-// homes in the CPU-cache sim, lane closures, charge targets) stay valid and
-// no pointer translation ever happens. Parallel sweeps (POLAR_SWEEP_THREADS)
+// homes in the CPU-cache sim, lane closures, charge targets, device bytes
+// handed out by CxlAccessor::Raw) stay valid and no pointer translation
+// ever happens. CXL device bytes are copy-before-write page chunks: the
+// capture copies none of them, and a restore rewrites only the chunks the
+// fork wrote. Parallel sweeps (POLAR_SWEEP_THREADS)
 // serialize per cache key and parallelize across keys.
 #pragma once
 
@@ -157,6 +160,21 @@ class SimWorld {
   /// meter a window by delta (see PoolingResult::window_advances).
   uint64_t WindowAdvances() const;
 
+  /// Host bytes held by the world's largest consumers. A measurement
+  /// ledger for memory ceilings (tools/check.sh --scale) and the scale-cost
+  /// bench; reading it has no effect on the simulation.
+  struct MemoryLedger {
+    /// CXL device chunks ever written (the devices' host cost).
+    uint64_t device_allocated = 0;
+    /// Captured chunk contents the snapshot holds (copy-before-write).
+    uint64_t snapshot_saved = 0;
+    /// Live durable page images, all instances.
+    uint64_t page_store_images = 0;
+    /// Retained redo records, all instances.
+    uint64_t redo_records = 0;
+  };
+  MemoryLedger MemoryBytes() const;
+
   /// Switches the world into epoch-parallel execution on `threads` workers
   /// (POLAR_WORLD_THREADS): marks every cross-instance channel — CXL host
   /// link + fabric, both RDMA NICs' wire/doorbell, client network, disk
@@ -169,11 +187,17 @@ class SimWorld {
   /// Captures the whole simulated state — executor lanes, channels, disk,
   /// device bytes, page stores, logs, pools, engine state, remote pool —
   /// into an in-memory snapshot owned by this world. Pure host-side
-  /// copying: zero effect on virtual time. Call after warmup, before the
-  /// measurement window is armed.
+  /// work: zero effect on virtual time. Call after warmup, before the
+  /// measurement window is armed. Device bytes are not copied here: the
+  /// capture arms each CXL device's copy-before-write, and the first write
+  /// to a page chunk afterwards saves that chunk (cxl/cxl_device.h). So the
+  /// snapshot's device cost is the chunks a fork writes, not the pool size.
+  /// A second capture replaces the first.
   void CaptureSnapshot();
   bool has_snapshot() const { return snapshot_ != nullptr; }
-  /// Rewinds the world to the captured state (restore-in-place). The fault
+  /// Rewinds the world to the captured state (restore-in-place). Device
+  /// chunks written since the capture get their saved bytes back in place,
+  /// so device addresses — and every Raw() pointer — never move. The fault
   /// injector is disarmed and its stats cleared, matching the cold world's
   /// pre-measure state.
   void RestoreSnapshot();

@@ -107,7 +107,7 @@ uint32_t BufferFusionServer::RecycleLru(sim::ExecContext& ctx,
     // The CXL frame holds the latest bytes (writers clflush on unlock);
     // persist before reuse.
     acc_->StreamTouch(ctx, DataOff(s), kPageSize, /*write=*/false);
-    store_->WritePage(ctx, slot.page_id, acc_->Raw(DataOff(s)));
+    store_->WritePage(ctx, slot.page_id, acc_->RawRead(DataOff(s)));
     for (uint32_t n = 0; n < opt_.max_nodes; n++) {
       if ((slot.active_mask & (1ULL << n)) != 0) {
         flags_->SetRemoval(ctx, acc_, s, n);

@@ -35,6 +35,8 @@ class PageStore {
   const uint8_t* RawPage(PageId page_id) const;
 
   uint64_t num_pages() const { return num_pages_; }
+  /// Host bytes of the live page images.
+  uint64_t ImageBytes() const { return num_pages_ * kPageSize; }
   SimDisk* disk() { return disk_; }
 
   /// Copy-on-write snapshot of the durable page images. Capture shares the

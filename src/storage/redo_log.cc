@@ -67,6 +67,17 @@ void RedoLog::LoseUnflushedTail() {
   next_lsn_ = flushed_lsn_;
 }
 
+uint64_t RedoLog::RetainedBytes() const {
+  auto bytes = [](const std::vector<RedoRecord>& records) {
+    uint64_t total = records.capacity() * sizeof(RedoRecord);
+    for (const RedoRecord& r : records) total += r.data.heap_bytes();
+    return total;
+  };
+  uint64_t total = bytes(buffer_);
+  for (const std::vector<RedoRecord>& seg : durable_segs_) total += bytes(seg);
+  return total;
+}
+
 std::vector<const RedoRecord*> RedoLog::DurableRecordsFrom(Lsn from) const {
   std::vector<const RedoRecord*> out;
   // Segments and the records within each are LSN-ordered (sealed segments

@@ -55,6 +55,8 @@ class PayloadBuf {
   uint8_t operator[](size_t i) const { return data()[i]; }
   const uint8_t* begin() const { return data(); }
   const uint8_t* end() const { return data() + size_; }
+  /// Bytes spilled to the heap (0 while inline).
+  size_t heap_bytes() const { return heap_cap_; }
 
   /// Grows/shrinks to `n` bytes; appended bytes are `fill`-initialized
   /// (vector-compatible: plain resize zero-fills).
@@ -190,6 +192,11 @@ class RedoLog {
   void ChargeScan(sim::ExecContext& ctx, Lsn from);
 
   SimDisk* disk() { return disk_; }
+
+  /// Host bytes the retained records occupy: durable segments and the
+  /// buffer, counting reserved slots and spilled payloads (records below
+  /// the checkpoint are retained too, see Checkpoint()).
+  uint64_t RetainedBytes() const;
 
   /// World snapshot of the log. Durable segments are sealed-immutable (a
   /// flush only ever appends a new segment), so capturing their COUNT is

@@ -1,11 +1,14 @@
-// Tests for the CXL fabric: devices, switch, accessor cost charging,
+// Tests for the CXL fabric: devices (sparse chunk backing and
+// copy-before-write snapshots), switch, accessor cost charging,
 // crash-survivability, and the multi-tenant memory manager.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "cxl/cxl_fabric.h"
 #include "cxl/cxl_memory_manager.h"
+#include "fabric/fabric_topology.h"
 #include "sim/cpu_cache.h"
 
 namespace polarcxl::cxl {
@@ -220,6 +223,170 @@ TEST(CxlMemoryManagerTest, ZeroSizeRejected) {
   CxlMemoryManager mgr(1 << 24);
   ExecContext ctx;
   EXPECT_TRUE(mgr.Allocate(ctx, 1, 0).status().IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------------
+// Sparse device backing + copy-before-write snapshots
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kChunk = CxlMemoryDevice::kChunkBytes;
+
+std::vector<uint8_t> DeviceImage(const CxlMemoryDevice& dev) {
+  std::vector<uint8_t> bytes(dev.capacity());
+  dev.Read(0, bytes.data(), bytes.size());
+  return bytes;
+}
+
+std::vector<uint8_t> Pattern(size_t n, uint32_t seed) {
+  std::vector<uint8_t> v(n);
+  for (size_t i = 0; i < n; i++) {
+    v[i] = static_cast<uint8_t>((i + seed) * 2654435761u >> 13);
+  }
+  return v;
+}
+
+TEST(CxlDeviceTest, UnwrittenRangesReadZeroAndAllocateNothing) {
+  CxlMemoryDevice dev(0, 64 * kChunk);
+  std::vector<uint8_t> buf(3 * kChunk + 100, 0xAA);
+  dev.Read(kChunk - 50, buf.data(), buf.size());
+  EXPECT_EQ(buf, std::vector<uint8_t>(buf.size(), 0));
+  EXPECT_EQ(dev.data()[63 * kChunk + 7], 0);
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+
+  // Through the fabric and an accessor: reads and read-intent pointers
+  // allocate nothing either.
+  CxlFabric fabric;
+  ASSERT_TRUE(fabric.AddDevice(64 * kChunk).ok());
+  CxlAccessor* acc = *fabric.AttachHost(0);
+  ExecContext ctx;
+  EXPECT_EQ(acc->LoadPod<uint64_t>(ctx, 5 * kChunk), 0u);
+  EXPECT_EQ(acc->LoadUncachedPod<uint64_t>(ctx, 9 * kChunk + 64), 0u);
+  EXPECT_EQ(*acc->RawRead(20 * kChunk), 0);
+  EXPECT_EQ(fabric.DeviceAllocatedBytes(), 0u);
+
+  // The first write allocates exactly the chunk it touches.
+  acc->StorePod<uint64_t>(ctx, 5 * kChunk + 8, 42);
+  EXPECT_EQ(fabric.DeviceAllocatedBytes(), kChunk);
+  EXPECT_EQ(acc->LoadPod<uint64_t>(ctx, 5 * kChunk + 8), 42u);
+  EXPECT_EQ(acc->RawRead(5 * kChunk), acc->Raw(5 * kChunk));
+}
+
+TEST(CxlDeviceTest, WriteAfterCaptureRestoresByteExact) {
+  CxlMemoryDevice dev(0, 16 * kChunk);
+  const std::vector<uint8_t> a = Pattern(5 * kChunk, 1);
+  dev.Write(2 * kChunk, a.data(), a.size());  // chunks 2..6 allocated
+  uint8_t* const stable = dev.WritePtr(3 * kChunk);
+  const std::vector<uint8_t> captured = DeviceImage(dev);
+
+  dev.CaptureSnapshot();
+  EXPECT_EQ(dev.saved_bytes(), 0u);
+  // Overwrite allocated chunks, partially and across chunk boundaries, and
+  // write chunks never written before the capture (0, 7, 15).
+  const std::vector<uint8_t> b = Pattern(2 * kChunk + 300, 2);
+  dev.Write(3 * kChunk - 150, b.data(), b.size());
+  dev.Write(0, b.data(), 10);
+  dev.Write(7 * kChunk + 9, b.data(), 100);
+  dev.Write(16 * kChunk - 4, b.data(), 4);
+  EXPECT_NE(DeviceImage(dev), captured);
+  // Chunks 2, 3, 4 and 5 held bytes at capture; 0, 7 and 15 did not.
+  EXPECT_EQ(dev.saved_bytes(), 4 * kChunk);
+
+  dev.RestoreSnapshot();
+  EXPECT_EQ(DeviceImage(dev), captured);
+  EXPECT_EQ(dev.WritePtr(3 * kChunk), stable);  // the backing never moves
+
+  // The snapshot stays armed: a second fork restores just as exactly.
+  dev.Write(kChunk * 6 + 1, b.data(), kChunk);
+  dev.Write(12 * kChunk, b.data(), 64);
+  dev.RestoreSnapshot();
+  EXPECT_EQ(DeviceImage(dev), captured);
+}
+
+TEST(CxlDeviceTest, CaptureTwiceInARowKeepsTheLatest) {
+  CxlMemoryDevice dev(0, 8 * kChunk);
+  const std::vector<uint8_t> a = Pattern(kChunk, 3);
+  dev.Write(kChunk, a.data(), a.size());
+  dev.CaptureSnapshot();
+  dev.CaptureSnapshot();  // back-to-back: nothing written in between
+  dev.Write(kChunk + 10, a.data(), 20);
+  EXPECT_EQ(dev.saved_bytes(), kChunk);
+  dev.RestoreSnapshot();
+  EXPECT_EQ(std::memcmp(dev.data() + kChunk, a.data(), kChunk), 0);
+
+  // Writes between two captures belong to the second capture's image.
+  const std::vector<uint8_t> b = Pattern(2 * kChunk, 4);
+  dev.Write(kChunk, b.data(), b.size());
+  dev.CaptureSnapshot();
+  EXPECT_EQ(dev.saved_bytes(), 0u);  // the first capture's saves are gone
+  const std::vector<uint8_t> second = DeviceImage(dev);
+  const std::vector<uint8_t> c = Pattern(3 * kChunk / 2, 9);
+  dev.Write(0, c.data(), c.size());
+  dev.RestoreSnapshot();
+  EXPECT_EQ(DeviceImage(dev), second);
+}
+
+TEST(CxlDeviceTest, ClearForTestDropsEveryChunk) {
+  CxlMemoryDevice dev(0, 8 * kChunk);
+  const std::vector<uint8_t> a = Pattern(3 * kChunk, 5);
+  dev.Write(100, a.data(), a.size());
+  dev.CaptureSnapshot();
+  dev.Write(0, a.data(), 8);
+  EXPECT_EQ(dev.allocated_bytes(), 4 * kChunk);
+  dev.ClearForTest();
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+  EXPECT_EQ(dev.saved_bytes(), 0u);
+  EXPECT_EQ(DeviceImage(dev), std::vector<uint8_t>(dev.capacity(), 0));
+  dev.RestoreSnapshot();  // the snapshot went with the old device
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+}
+
+TEST(CxlDeviceTest, CopiesCrossChunkAndStripeBoundaries) {
+  // Two devices striped at 256 B, so runs end at stripe boundaries inside
+  // every chunk and at chunk boundaries of each device.
+  CxlFabric::Options o;
+  o.topology = fabric::TopologySpec::Ring(1);
+  o.interleave.mode = fabric::InterleaveMode::kRoundRobin;
+  o.interleave.granule = 256;
+  CxlFabric fab(std::move(o));
+  ASSERT_TRUE(fab.AddDevice(8 * kChunk).ok());
+  ASSERT_TRUE(fab.AddDevice(8 * kChunk).ok());
+  EXPECT_EQ(fab.ContiguousAt(100), 156u);
+
+  const std::vector<uint8_t> in = Pattern(5 * kChunk + 777, 6);
+  const MemOffset off = 2 * kChunk - 333;
+  fab.CopyIn(off, in.data(), in.size());
+  std::vector<uint8_t> out(in.size());
+  fab.CopyOut(off, out.data(), out.size());
+  EXPECT_EQ(out, in);
+  for (uint64_t i = 0; i < in.size(); i += 97) {
+    EXPECT_EQ(*fab.TranslateRead(off + i), in[i]) << i;
+  }
+  // Bytes outside the written range still read zero.
+  uint8_t edge[2] = {0xFF, 0xFF};
+  fab.CopyOut(off - 1, edge, 1);
+  fab.CopyOut(off + in.size(), edge + 1, 1);
+  EXPECT_EQ(edge[0], 0);
+  EXPECT_EQ(edge[1], 0);
+
+  // One device: a copy spanning chunks records each chunk it writes.
+  CxlFabric single;
+  ASSERT_TRUE(single.AddDevice(8 * kChunk).ok());
+  single.CopyIn(off, in.data(), in.size());
+  std::fill(out.begin(), out.end(), 0);
+  single.CopyOut(off, out.data(), out.size());
+  EXPECT_EQ(out, in);
+  EXPECT_EQ(single.DeviceAllocatedBytes(), 7 * kChunk);  // chunks 1..7
+
+  // Device snapshots through the fabric: copies restore across boundaries.
+  std::vector<uint8_t> captured(fab.capacity());
+  fab.CopyOut(0, captured.data(), captured.size());
+  fab.CaptureDevices();
+  const std::vector<uint8_t> over = Pattern(3 * kChunk, 7);
+  fab.CopyIn(kChunk / 2 + 3, over.data(), over.size());
+  fab.RestoreDevices();
+  std::vector<uint8_t> restored(fab.capacity());
+  fab.CopyOut(0, restored.data(), restored.size());
+  EXPECT_EQ(restored, captured);
 }
 
 }  // namespace

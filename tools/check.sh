@@ -23,8 +23,9 @@
 #                             #   bench)
 #   tools/check.sh --scale    # tier-1 + scheduler suite + 64-instance
 #                             #   quick-scale sweep: serial + epoch
-#                             #   lane_steps pins and a sched-ops-per-step
-#                             #   ceiling (O(active) scheduling guard)
+#                             #   lane_steps pins, a sched-ops-per-step
+#                             #   ceiling (O(active) scheduling guard) and
+#                             #   bytes-per-instance memory ceilings
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -237,10 +238,13 @@ fi
 if [[ "${1:-}" == "--scale" ]]; then
   echo "==> scale: scheduler wheel-vs-heap equivalence suite"
   build/tests/scheduler_test
-  echo "==> scale: 64-instance quick sweep (serial vs epoch pins + ops ceiling)"
+  echo "==> scale: 64-instance quick sweep (pins + ops and memory ceilings)"
   # POLAR_SCALE_EXPECT pins the 64-instance lane_steps for both execution
   # modes (exit 1 on drift); POLAR_MAX_SCHED_OPS_PER_STEP fails the gate
-  # if per-step scheduler work regresses toward O(log n).
+  # if per-step scheduler work regresses toward O(log n). The gate also
+  # applies two fixed bytes-per-instance ceilings to the memory ledger
+  # (ScaleGate in bench_sim_throughput.cc): device bytes <= pool region +
+  # 1 page, and bytes saved by a read-only fork <= 1 % of device bytes.
   POLAR_BENCH_SCALE=0.1 \
     POLAR_SCALE_EXPECT="$SCALE_EXPECT_QUICK" \
     POLAR_MAX_SCHED_OPS_PER_STEP="$SCALE_MAX_SCHED_OPS" \
