@@ -1,11 +1,12 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
-// Host-side kernel microbenchmarks for the third-wave hot-path work: the
-// SIMD intra-node search, the CPU-cache-sim probe paths (memo hit, probed
-// hit, miss/evict, batched range), and the buffer-pool Fetch/Unfix
-// round-trip on every pool kind. Unlike bench_sim_throughput (a whole
-// simulated workload, noisy on shared boxes), each kernel here runs in a
-// tight loop over a pinned working set, so per-kernel regressions stand out
-// even when end-to-end numbers wobble. Full-scale runs refresh the
+// Host-side kernel microbenchmarks for the core data structures: the SIMD
+// intra-node search, the CPU-cache-sim probe paths (memo hit, probed hit,
+// miss/evict, batched range), the buffer-pool Fetch/Unfix round-trip and
+// B+tree get/update on every pool kind, B+tree insert, the bandwidth
+// channel's transfer and histogram insertion. Unlike bench_sim_throughput
+// (a whole simulated workload, noisy on shared boxes), each kernel here
+// runs in a tight loop over a pinned working set, so per-kernel
+// regressions stand out even when end-to-end numbers wobble. Full-scale runs refresh the
 // committed BENCH_microkernels.json; the SIMD level is recorded so the
 // POLAR_NO_SIMD build's numbers are not compared against vector builds.
 #include <cstdio>
@@ -15,11 +16,13 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/histogram.h"
 #include "common/simd.h"
 #include "engine/database.h"
 #include "engine/node_search.h"
 #include "harness/report.h"
 #include "harness/world_builder.h"
+#include "sim/bandwidth_channel.h"
 #include "sim/cpu_cache.h"
 
 namespace polarcxl::bench {
@@ -187,7 +190,11 @@ struct KernelWorld {
     remote = std::make_unique<rdma::RemoteMemoryPool>(&net, 100, 1 << 15);
   }
 
-  std::unique_ptr<engine::Database> MakeDb(BufferPoolKind kind) {
+  /// A database with one table of `rows` rows of `row_bytes` bytes each.
+  std::unique_ptr<engine::Database> MakeDb(BufferPoolKind kind,
+                                           uint64_t rows = 1000,
+                                           uint16_t row_bytes = 64,
+                                           uint64_t pool_pages = 512) {
     engine::DatabaseEnv env;
     env.store = &store;
     env.log = &log;
@@ -196,14 +203,14 @@ struct KernelWorld {
     env.remote = remote.get();
     engine::DatabaseOptions opt;
     opt.pool_kind = kind;
-    opt.pool_pages = 512;
+    opt.pool_pages = pool_pages;
     ExecContext ctx;
     auto db = engine::Database::Create(ctx, env, opt);
     POLAR_CHECK(db.ok());
-    auto table = (*db)->CreateTable(ctx, "t", 64);
+    auto table = (*db)->CreateTable(ctx, "t", row_bytes);
     POLAR_CHECK(table.ok());
-    for (uint64_t k = 1; k <= 1000; k++) {
-      POLAR_CHECK((*table)->Insert(ctx, k, std::string(64, 'x')).ok());
+    for (uint64_t k = 1; k <= rows; k++) {
+      POLAR_CHECK((*table)->Insert(ctx, k, std::string(row_bytes, 'x')).ok());
     }
     return std::move(*db);
   }
@@ -243,6 +250,121 @@ KernelResult FetchUnfix(const char* name, BufferPoolKind kind,
       sink);
 }
 
+// ---------------------------------------------------------------------------
+// B+tree operations
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kTreeRows = 20000;
+
+/// Row ids in a scattered order (multiplicative hash over the key space).
+uint64_t ScatteredRow(uint64_t i) {
+  return 1 + (i * 2654435761ULL) % kTreeRows;
+}
+
+/// Point get of a scattered row: one root-to-leaf descent through the pool.
+KernelResult BTreeGet(const char* name, BufferPoolKind kind, uint64_t* sink) {
+  KernelWorld world;
+  auto db = world.MakeDb(kind, kTreeRows, 128, 8192);
+  engine::BTree* tree = db->table(size_t{0})->tree();
+  ExecContext ctx;
+  ctx.cache = db->cache();
+  std::string row;  // capacity reused: steady-state Get allocates nothing
+  uint64_t k = 0;
+  return TimeKernel(
+      name, 20000,
+      [&](uint64_t iters) {
+        uint64_t acc = 0;
+        for (uint64_t i = 0; i < iters; i++) {
+          POLAR_CHECK(tree->GetTo(ctx, ScatteredRow(k++), &row).ok());
+          acc += static_cast<uint8_t>(row[0]);
+        }
+        return acc;
+      },
+      sink);
+}
+
+/// In-place 4-byte update of a scattered row (descent + dirtying the leaf).
+KernelResult BTreeUpdate(const char* name, BufferPoolKind kind,
+                         uint64_t* sink) {
+  KernelWorld world;
+  auto db = world.MakeDb(kind, kTreeRows, 128, 8192);
+  engine::BTree* tree = db->table(size_t{0})->tree();
+  ExecContext ctx;
+  ctx.cache = db->cache();
+  uint64_t k = 0;
+  return TimeKernel(
+      name, 20000,
+      [&](uint64_t iters) {
+        for (uint64_t i = 0; i < iters; i++) {
+          const uint32_t v = static_cast<uint32_t>(k);
+          POLAR_CHECK(tree->UpdatePartial(
+                              ctx, ScatteredRow(k++), 0,
+                              Slice(reinterpret_cast<const char*>(&v), 4))
+                          .ok());
+        }
+        return iters;
+      },
+      sink);
+}
+
+/// Append-order insert of fresh 128-byte rows into a CXL-pool tree (leaf
+/// fills and splits).
+KernelResult BTreeInsert(uint64_t* sink) {
+  KernelWorld world;
+  auto db = world.MakeDb(BufferPoolKind::kCxl, 1000, 128, 8192);
+  engine::BTree* tree = db->table(size_t{0})->tree();
+  ExecContext ctx;
+  ctx.cache = db->cache();
+  const std::string row(128, 'y');
+  uint64_t k = 1 << 20;
+  return TimeKernel(
+      "btree_insert_cxl", 5000,
+      [&](uint64_t iters) {
+        for (uint64_t i = 0; i < iters; i++) {
+          POLAR_CHECK(tree->Insert(ctx, k++, row).ok());
+        }
+        return iters;
+      },
+      sink);
+}
+
+// ---------------------------------------------------------------------------
+// Bandwidth channel and histogram
+// ---------------------------------------------------------------------------
+
+/// One 16 KiB transfer every 2 us of virtual time on a 12 GB/s channel.
+KernelResult ChannelTransfer(uint64_t* sink) {
+  sim::BandwidthChannel ch("bench", 12ULL * 1000 * 1000 * 1000);
+  Nanos now = 0;
+  return TimeKernel(
+      "channel_transfer_16k", 200000,
+      [&](uint64_t iters) {
+        uint64_t acc = 0;
+        for (uint64_t i = 0; i < iters; i++) {
+          acc += static_cast<uint64_t>(ch.Transfer(now, 16384));
+          now += 2000;
+        }
+        return acc;
+      },
+      sink);
+}
+
+/// Latency-histogram insertion of pseudo-random values below 2^30 ns.
+KernelResult HistogramAdd(uint64_t* sink) {
+  Histogram h;
+  Nanos v = 1;
+  return TimeKernel(
+      "histogram_add", 200000,
+      [&](uint64_t iters) {
+        for (uint64_t i = 0; i < iters; i++) {
+          h.Add(v);
+          v = (v * 1664525 + 1013904223) & ((1 << 30) - 1);
+        }
+        return h.count();
+      },
+      sink);
+}
+
 void WriteJson(const std::vector<KernelResult>& results) {
   FILE* f = std::fopen("BENCH_microkernels.json", "w");
   if (f == nullptr) {
@@ -266,7 +388,7 @@ void WriteJson(const std::vector<KernelResult>& results) {
 int Main() {
   PrintHeader("kernel microbenchmarks",
               "n/a (host-side kernels: node search, cache probes, "
-              "fetch/unfix)");
+              "fetch/unfix, B+tree ops, channel transfer, histogram)");
   std::vector<KernelResult> results;
   uint64_t sink = 0;
 
@@ -292,6 +414,21 @@ int Main() {
                                &sink));
   results.push_back(FetchUnfix("fetch_unfix_tiered_rdma",
                                BufferPoolKind::kTieredRdma, &sink));
+
+  results.push_back(BTreeGet("btree_get_dram", BufferPoolKind::kDram, &sink));
+  results.push_back(BTreeGet("btree_get_cxl", BufferPoolKind::kCxl, &sink));
+  results.push_back(BTreeGet("btree_get_tiered_rdma",
+                             BufferPoolKind::kTieredRdma, &sink));
+  results.push_back(BTreeUpdate("btree_update_dram", BufferPoolKind::kDram,
+                                &sink));
+  results.push_back(BTreeUpdate("btree_update_cxl", BufferPoolKind::kCxl,
+                                &sink));
+  results.push_back(BTreeUpdate("btree_update_tiered_rdma",
+                                BufferPoolKind::kTieredRdma, &sink));
+  results.push_back(BTreeInsert(&sink));
+
+  results.push_back(ChannelTransfer(&sink));
+  results.push_back(HistogramAdd(&sink));
 
   harness::ReportTable table("Kernel timings (" + std::string(kSimdLevel) +
                                  " build)",

@@ -46,7 +46,9 @@ struct UndoOp {
     std::memcpy(d + 1, &table, sizeof(table));
     std::memcpy(d + 3, &off, sizeof(off));
     std::memcpy(d + 7, &key, sizeof(key));
-    std::memcpy(d + 15, bytes.data(), bytes.size());
+    // A kRemove undo carries no payload, and memcpy from the empty
+    // vector's null data() is undefined even for zero bytes.
+    if (!bytes.empty()) std::memcpy(d + 15, bytes.data(), bytes.size());
   }
   static UndoOp Deserialize(const uint8_t* data, size_t len);
   template <typename Buf>

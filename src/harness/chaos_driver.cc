@@ -1,15 +1,11 @@
 #include "harness/chaos_driver.h"
 
-#include <algorithm>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/slice.h"
-#include "harness/instance_driver.h"
 #include "sim/executor.h"
 
 namespace polarcxl::harness {
@@ -19,65 +15,34 @@ constexpr NodeId kInstanceNode = 1;  // tenant / crash-target identity
 
 /// Lane bookkeeping referenced by the executor lambdas; heap-stable because
 /// a cached world outlives every run that forks it.
-/// The sysbench workload driver POLAR_CHECKs on write failures (correct for
-/// fault-free figures), so chaos lanes run their own error-tolerant loop
-/// over the Status-returning table surface.
-struct ChaosLaneState {
-  engine::Database* db;
-  Rng rng{0};
-  uint32_t tables;
-  uint32_t rows;
-  double write_fraction;
-  Nanos error_backoff;
-  ChaosResult* result;
+struct ChaosLaneState : PointOpLane {
+  using PointOpLane::PointOpLane;
+  double write_fraction = 0;
+  Nanos error_backoff = 0;
+  ChaosResult* result = nullptr;
   // Sentinel start (max Nanos): before the window opens nothing reaches
   // the sentinel, so the lane lambda needs no "window set?" branch.
   Nanos window_start = std::numeric_limits<Nanos>::max();
   Nanos window_end = -1;
-  std::string scratch;
 };
 
 /// A chaos world parked in a WorldCache: the simulated host (fault injector
-/// wired but disarmed), lanes, and the post-warmup lane RNG states.
+/// wired but disarmed) and its lanes; the lane RNGs are the lane state.
 struct ChaosWorld : CachedWorld {
-  explicit ChaosWorld(const SimWorld::Spec& spec) : world(spec) {}
-  SimWorld world;
+  using CachedWorld::CachedWorld;
   std::vector<std::unique_ptr<ChaosLaneState>> lane_states;
   ChaosResult result;  // lane lambdas point here; re-initialized per run
-  std::vector<uint64_t> rng_states;  // post-warmup
 };
 
-SimWorld::Spec SpecFor(const ChaosConfig& config) {
-  SimWorld::Spec spec;
-  spec.kind = config.kind;
-  spec.instances = 1;
-  spec.sysbench = config.sysbench;
-  spec.lbp_fraction = config.lbp_fraction;
-  spec.cpu_cache_bytes = config.cpu_cache_bytes;
-  spec.wire_faults = true;  // injector wired but disarmed through warmup
-  return spec;
+/// One instance, fault injector wired (disarmed until the window opens, so
+/// warmup is fault-free).
+SimWorld::Spec SpecFor(const ChaosConfig& c) {
+  return {.kind = c.kind, .instances = 1, .sysbench = c.sysbench,
+          .lbp_fraction = c.lbp_fraction, .cpu_cache_bytes = c.cpu_cache_bytes,
+          .wire_faults = true, .fabric = {}};
 }
 
-/// Setup key: everything that shapes the world before the plan is armed.
-/// The plan, measure window and timeline bucket are per-run.
-std::string ChaosKey(const ChaosConfig& c, bool epoch) {
-  std::ostringstream os;
-  // Epoch discipline keys the world; the thread count does not (see
-  // PoolingKey) — cached worlds are re-sharded with SetThreads() on hit.
-  os << "chaos:e" << (epoch ? 1 : 0) << ':'
-     << static_cast<int>(c.kind) << ':' << c.lanes << ':'
-     << c.sysbench.tables << ':' << c.sysbench.rows_per_table << ':'
-     << c.sysbench.range_size << ':' << c.sysbench.row_size << ':'
-     << static_cast<int>(c.sysbench.distribution) << ':'
-     << c.sysbench.zipf_theta << ':' << c.sysbench.num_nodes << ':'
-     << c.sysbench.shared_fraction << ':' << c.write_fraction << ':'
-     << c.lbp_fraction << ':' << c.cpu_cache_bytes << ':' << c.warmup << ':'
-     << c.error_backoff << ':' << c.checkpoint_interval << ':' << c.seed;
-  return os.str();
-}
-
-std::unique_ptr<ChaosWorld> BuildChaosWorld(const ChaosConfig& config,
-                                            uint32_t world_threads) {
+std::unique_ptr<ChaosWorld> BuildChaosWorld(const ChaosConfig& config) {
   auto cw = std::make_unique<ChaosWorld>(SpecFor(config));
   SimWorld& world = cw->world;
   sim::Executor& executor = world.executor();
@@ -86,32 +51,18 @@ std::unique_ptr<ChaosWorld> BuildChaosWorld(const ChaosConfig& config,
   engine::Database* db = world.db(0);
 
   for (uint32_t l = 0; l < config.lanes; l++) {
-    auto state = std::make_unique<ChaosLaneState>();
-    state->db = db;
-    state->rng = Rng(config.seed + l);
-    state->tables = static_cast<uint32_t>(db->num_tables());
-    state->rows = config.sysbench.rows_per_table;
+    auto state = std::make_unique<ChaosLaneState>(
+        db, config.seed + l, config.sysbench.rows_per_table);
     state->write_fraction = config.write_fraction;
     state->error_backoff = config.error_backoff;
     state->result = &cw->result;
     ChaosLaneState* raw = state.get();
+    cw->lane_rngs.push_back(&raw->rng);
     cw->lane_states.push_back(std::move(state));
     executor.AddLane(
         [raw](sim::ExecContext& ctx) {
           const Nanos start = ctx.now;
-          engine::Table* t = raw->db->table(raw->rng.Uniform(raw->tables));
-          const uint64_t id = 1 + raw->rng.Uniform(raw->rows);
-          Status s;
-          if (raw->rng.Chance(raw->write_fraction)) {
-            const uint32_t k = static_cast<uint32_t>(raw->rng.Next());
-            s = t->UpdateColumn(
-                ctx, id, 4,
-                Slice(reinterpret_cast<const char*>(&k), sizeof(k)));
-            if (s.ok()) raw->db->CommitTransaction(ctx);
-          } else {
-            s = t->GetTo(ctx, id, &raw->scratch);
-            raw->db->FinishReadOnly(ctx);
-          }
+          const Status s = raw->Run(ctx, raw->write_fraction);
           if (start >= raw->window_start && ctx.now <= raw->window_end) {
             if (s.ok()) {
               raw->result->ok.Add(ctx.now - raw->window_start);
@@ -126,25 +77,8 @@ std::unique_ptr<ChaosWorld> BuildChaosWorld(const ChaosConfig& config,
         },
         kInstanceNode, db->cache(), setup_end);
   }
-
-  // Dedicated checkpoint lane: periodically flushes dirty pages so the
-  // degraded read path has clean pages to serve from storage (a database
-  // that never checkpoints has nothing to fall back on). Lanes release
-  // every page fix before yielding, so the flush never sees a fixed page.
-  if (config.checkpoint_interval > 0) {
-    const Nanos interval = config.checkpoint_interval;
-    executor.AddLane(
-        [db, interval](sim::ExecContext& ctx) {
-          db->Checkpoint(ctx);
-          ctx.Advance(interval);
-          return true;
-        },
-        kInstanceNode, db->cache(), setup_end + interval);
-  }
-
-  // Warm up fault-free (the injector is wired but disarmed).
-  if (world_threads >= 1) world.EnableInWorldParallelism(world_threads);
-  executor.RunUntil(setup_end + config.warmup);
+  AddCheckpointLane(executor, db, kInstanceNode, config.checkpoint_interval,
+                    setup_end);
   return cw;
 }
 }  // namespace
@@ -206,106 +140,32 @@ faults::FaultPlan CanonicalChaosPlan(Nanos measure) {
 }
 
 ChaosResult RunChaos(const ChaosConfig& config, WorldCache* cache) {
-  const double wall_start = ThreadCpuSeconds();
   const uint32_t world_threads = ResolveWorldThreads(config.world_threads);
-  const bool epoch = world_threads >= 1;
-
-  // ---- acquire a warmed world: fork a snapshot or build cold ----
-  WorldCache::Lease lease;
-  std::unique_ptr<ChaosWorld> local;
-  ChaosWorld* cw = nullptr;
-  bool hit = false;
-  if (cache != nullptr) {
-    lease = cache->Acquire(ChaosKey(config, epoch));
-    cw = static_cast<ChaosWorld*>(lease.get());
-    hit = cw != nullptr;
-  }
-  if (cw == nullptr) {
-    auto fresh = BuildChaosWorld(config, world_threads);
-    if (cache != nullptr) {
-      fresh->world.CaptureSnapshot();
-      fresh->rng_states.reserve(fresh->lane_states.size());
-      for (const auto& state : fresh->lane_states) {
-        fresh->rng_states.push_back(state->rng.raw_state());
-      }
-      cw = fresh.get();
-      lease.put(std::move(fresh));
-    } else {
-      local = std::move(fresh);
-      cw = local.get();
-    }
-  } else {
-    if (epoch) cw->world.executor().SetThreads(world_threads);
-    cw->world.RestoreSnapshot();
-    for (size_t i = 0; i < cw->lane_states.size(); i++) {
-      cw->lane_states[i]->rng.set_raw_state(cw->rng_states[i]);
-    }
-  }
+  // The plan, measure window and timeline bucket are per-run.
+  std::string key = WorldKey("chaos", SpecFor(config), world_threads >= 1);
+  AppendKey(&key, config.lanes, config.write_fraction, config.warmup,
+            config.error_backoff, config.checkpoint_interval, config.seed);
+  WarmWorld warm = AcquireWarmWorld(
+      cache, key, world_threads, config.warmup,
+      [&] { return BuildChaosWorld(config); });
+  ChaosWorld* cw = warm.as<ChaosWorld>();
 
   // The world-owned result the lane lambdas point at. Warmup never records
   // (sentinel windows), so initializing it here covers both paths.
   cw->result = ChaosResult();
   cw->result.ok = TimeSeries(config.bucket);
   cw->result.failed = TimeSeries(config.bucket);
-  cw->result.window = config.measure;
 
   // ---- arm and measure (identical for cold and forked worlds) ----
-  SimWorld& world = cw->world;
-  sim::Executor& executor = world.executor();
-  faults::FaultInjector& injector = world.injector();
-  engine::Database* db = world.db(0);
-  const Nanos setup_end = world.setup_end();
-  const Nanos t0 = executor.MinClock(setup_end + config.warmup);
+  const Nanos t0 = warm.window_start();
   const Nanos t1 = t0 + config.measure;
   for (auto& state : cw->lane_states) {
     state->window_start = t0;
     state->window_end = t1;
   }
-
-  faults::FaultPlan armed = config.plan;
-  armed.ShiftBy(t0);
-  POLAR_CHECK(injector.Arm(std::move(armed)).ok());
-
-  // Cumulative executor counters; report this run's deltas (see RunPooling).
-  const uint64_t epochs_before = executor.epochs_run();
-  const uint64_t divergence_before = executor.drain_divergence();
-  const double setup_done = ThreadCpuSeconds();
-
-  // Node-crash windows freeze every lane (the whole instance is gone);
-  // lanes thaw at the window end, modelling a fast process failover.
-  std::vector<faults::FaultEvent> crashes =
-      injector.EventsOfKind(faults::FaultKind::kNodeCrash);
-  crashes.erase(std::remove_if(crashes.begin(), crashes.end(),
-                               [](const faults::FaultEvent& e) {
-                                 return !e.Matches(kInstanceNode);
-                               }),
-                crashes.end());
-  for (const faults::FaultEvent& crash : crashes) {
-    if (crash.at >= t1) break;  // plan is normalized (sorted by `at`)
-    executor.RunUntil(crash.at);
-    for (uint32_t l = 0; l < static_cast<uint32_t>(executor.num_lanes());
-         l++) {
-      executor.ParkLane(l);
-      const Nanos now = executor.context(l).now;
-      executor.ResumeLane(l, std::max(now, crash.until));
-    }
-  }
-  executor.RunUntil(t1);
-  injector.Disarm();
-
-  const double measure_done = ThreadCpuSeconds();
-
-  cw->result.degraded_fetches = db->pool()->stats().degraded_fetches;
-  cw->result.fault_rejections = db->pool()->stats().fault_rejections;
-  cw->result.fault_retries = db->pool()->stats().fault_retries;
-  cw->result.injected = injector.stats();
-  cw->result.lane_steps = executor.total_steps();
-  cw->result.virtual_end = executor.MaxClock();
-  cw->result.setup_wall_sec = setup_done - wall_start;
-  cw->result.measure_wall_sec = measure_done - setup_done;
-  cw->result.snapshot_hit = hit;
-  cw->result.epochs = executor.epochs_run() - epochs_before;
-  cw->result.drain_divergence = executor.drain_divergence() - divergence_before;
+  // A node crash freezes every lane: the whole instance is gone.
+  const auto lanes = static_cast<uint32_t>(warm.world().executor().num_lanes());
+  RunFaultWindow(warm, config.plan, t1, {{0, lanes - 1}}, &cw->result);
   return cw->result;
 }
 

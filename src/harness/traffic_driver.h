@@ -104,16 +104,18 @@ struct TenantStats {
   Histogram queue_wait;        // arrival -> service start (served ops)
 };
 
-struct OpenLoopResult {
+/// FaultRunCore carries the merged ok/failed timelines and counts, the pool
+/// degradation and injector counters, and RunCore's step counts, wall-clock
+/// split, snapshot_hit and epoch diagnostics.
+struct OpenLoopResult : FaultRunCore {
   std::vector<TenantStats> tenants;
-  // ---- merged totals (sum over tenants, deterministic order) ----
+  // ---- merged totals (sum over tenants, deterministic order; ok_ops and
+  // failed_ops are FaultRunCore's) ----
   uint64_t offered = 0;
   uint64_t admitted = 0;
   uint64_t shed_queue = 0;
   uint64_t shed_deadline = 0;
-  uint64_t ok_ops = 0;
   uint64_t ok_in_slo = 0;
-  uint64_t failed_ops = 0;
   uint64_t retried_ops = 0;
   Histogram latency;
   Histogram queue_wait;
@@ -121,25 +123,7 @@ struct OpenLoopResult {
   double goodput = 0;     // ok_in_slo per second of window
   double loss_fraction = 0;  // (shed + failed) / offered
   bool slo_met = false;
-  // ---- timelines, origin at window start ----
-  TimeSeries ok{Millis(10)};
-  TimeSeries failed{Millis(10)};
-  TimeSeries shed{Millis(10)};
-  // ---- pool degradation + injector accounting over the run ----
-  uint64_t degraded_fetches = 0;
-  uint64_t fault_rejections = 0;
-  uint64_t fault_retries = 0;
-  uint64_t retries_exhausted = 0;
-  faults::FaultInjector::Stats injected;
-  // ---- determinism + provenance (see ChaosResult) ----
-  uint64_t lane_steps = 0;
-  Nanos virtual_end = 0;
-  Nanos window = 0;
-  double setup_wall_sec = 0;
-  double measure_wall_sec = 0;
-  bool snapshot_hit = false;
-  uint64_t epochs = 0;
-  uint64_t drain_divergence = 0;
+  TimeSeries shed{Millis(10)};  // origin at window start
 };
 
 /// Runs one open-loop experiment end to end. With a `cache`, the

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "bufferpool/cxl_buffer_pool.h"
+#include "common/slice.h"
 #include "cxl/cxl_memory_manager.h"
 #include "fabric/fabric_topology.h"
 #include "harness/instance_driver.h"
@@ -132,7 +133,6 @@ SimWorld::SimWorld(const Spec& spec)
       host_accs_.push_back(*acc);
     }
   }
-  host_acc_ = host_accs_[0];
   if (wire_faults_) fabric_.set_fault_injector(&injector_);
   manager_ = std::make_unique<cxl::CxlMemoryManager>(fabric_.capacity());
   if (fs.TopologyActive()) {
@@ -355,21 +355,176 @@ void SimWorld::RestoreSnapshot() {
 }
 
 // ---------------------------------------------------------------------------
-// WorldCache
+// Run core
 // ---------------------------------------------------------------------------
 
-WorldCache::Lease WorldCache::Acquire(const std::string& key) {
-  Entry* entry;
-  {
-    std::lock_guard<std::mutex> g(mu_);
-    std::unique_ptr<Entry>& slot = entries_[key];
-    if (slot == nullptr) slot = std::make_unique<Entry>();
-    entry = slot.get();
+void CachedWorld::CaptureLanes() {
+  rng_states_.clear();
+  for (const Rng* rng : lane_rngs) rng_states_.push_back(rng->raw_state());
+}
+
+void CachedWorld::RestoreLanes() {
+  for (size_t i = 0; i < lane_rngs.size(); i++) {
+    lane_rngs[i]->set_raw_state(rng_states_[i]);
   }
-  Lease lease;
-  lease.lock_ = std::unique_lock<std::mutex>(entry->mu);
-  lease.slot_ = &entry->world;
-  return lease;
+}
+
+WarmWorld AcquireWarmWorld(WorldCache* cache, const std::string& key,
+                           uint32_t world_threads, Nanos warmup,
+                           const BuildWorldFn& build) {
+  WarmWorld w;
+  w.base_.setup_wall_sec = ThreadCpuSeconds();
+  std::unique_ptr<CachedWorld>* slot = &w.local_;
+  if (cache != nullptr) {
+    WorldCache::Entry* entry;
+    {
+      std::lock_guard<std::mutex> g(cache->mu_);
+      entry = &cache->entries_[key];  // map nodes never move
+    }
+    w.lock_ = std::unique_lock<std::mutex>(entry->mu);
+    slot = &entry->world;
+  }
+  w.base_.snapshot_hit = *slot != nullptr;
+  if (w.base_.snapshot_hit) {
+    SimWorld& world = (*slot)->world;
+    if (world_threads >= 1) world.executor().SetThreads(world_threads);
+    world.RestoreSnapshot();
+    (*slot)->RestoreLanes();
+  } else {
+    *slot = build();
+    SimWorld& world = (*slot)->world;
+    if (world_threads >= 1) world.EnableInWorldParallelism(world_threads);
+    world.executor().RunUntil(world.setup_end() + warmup);
+    if (cache != nullptr) {
+      world.CaptureSnapshot();
+      (*slot)->CaptureLanes();
+    }
+  }
+  w.world_ = slot->get();
+  SimWorld& world = w.world();
+  w.window_start_ = world.executor().MinClock(world.setup_end() + warmup);
+  return w;
+}
+
+std::string WorldKey(const char* driver, const SimWorld::Spec& s,
+                     bool epoch) {
+  std::string key = driver;
+  const workload::SysbenchConfig& sb = s.sysbench;
+  const FabricWorldSpec& f = s.fabric;
+  AppendKey(&key, epoch, s.kind, s.instances, sb.tables, sb.rows_per_table,
+            sb.range_size, sb.row_size, sb.distribution, sb.zipf_theta,
+            sb.num_nodes, sb.shared_fraction, s.lbp_fraction,
+            s.cpu_cache_bytes, s.group_commit_window, s.verbs_retry_budget,
+            s.wire_faults, f.switches, f.devices_per_switch, f.ring,
+            f.uplink_bps, f.uplink_latency, f.port_bps, f.device_port_bps,
+            f.interleave.mode, f.interleave.granule, f.interleave.ways,
+            f.placement, f.topology_mode);
+  return key;
+}
+
+void WarmWorld::OpenWindow() {
+  SimWorld& world = this->world();
+  const sim::Executor& ex = world.executor();
+  base_.lane_steps = ex.total_steps();
+  base_.epochs = ex.epochs_run();
+  base_.drain_divergence = ex.drain_divergence();
+  base_.sched_ops = ex.sched_ops();
+  base_.window_advances = world.WindowAdvances();
+  base_.measure_wall_sec = ThreadCpuSeconds();
+  real_start_ = std::chrono::steady_clock::now();
+}
+
+void WarmWorld::CloseWindow(RunCore* core) const {
+  const auto real_end = std::chrono::steady_clock::now();
+  const double cpu_end = ThreadCpuSeconds();
+  SimWorld& world = this->world();
+  const sim::Executor& ex = world.executor();
+  core->lane_steps = ex.total_steps();
+  core->measure_steps = core->lane_steps - base_.lane_steps;
+  core->virtual_end = ex.MaxClock();
+  core->setup_wall_sec = base_.measure_wall_sec - base_.setup_wall_sec;
+  core->measure_wall_sec = cpu_end - base_.measure_wall_sec;
+  core->measure_real_sec =
+      std::chrono::duration<double>(real_end - real_start_).count();
+  core->snapshot_hit = base_.snapshot_hit;
+  core->epochs = ex.epochs_run() - base_.epochs;
+  core->drain_divergence = ex.drain_divergence() - base_.drain_divergence;
+  core->sched_ops = ex.sched_ops() - base_.sched_ops;
+  core->window_advances = world.WindowAdvances() - base_.window_advances;
+}
+
+// ---------------------------------------------------------------------------
+// Fault runs
+// ---------------------------------------------------------------------------
+
+PointOpLane::PointOpLane(engine::Database* db, uint64_t seed, uint32_t rows)
+    : db(db),
+      rng(seed),
+      tables(static_cast<uint32_t>(db->num_tables())),
+      rows(rows) {}
+
+Status PointOpLane::Run(sim::ExecContext& ctx, double write_fraction) {
+  engine::Table* t = db->table(rng.Uniform(tables));
+  const uint64_t id = 1 + rng.Uniform(rows);
+  Status s;
+  if (rng.Chance(write_fraction)) {
+    const uint32_t k = static_cast<uint32_t>(rng.Next());
+    s = t->UpdateColumn(ctx, id, 4,
+                        Slice(reinterpret_cast<const char*>(&k), sizeof(k)));
+    if (s.ok()) db->CommitTransaction(ctx);
+  } else {
+    s = t->GetTo(ctx, id, &scratch);
+    db->FinishReadOnly(ctx);
+  }
+  return s;
+}
+
+void AddCheckpointLane(sim::Executor& executor, engine::Database* db,
+                       NodeId node, Nanos interval, Nanos setup_end) {
+  if (interval <= 0) return;
+  executor.AddLane(
+      [db, interval](sim::ExecContext& ctx) {
+        db->Checkpoint(ctx);
+        ctx.Advance(interval);
+        return true;
+      },
+      node, db->cache(), setup_end + interval);
+}
+
+void RunFaultWindow(WarmWorld& warm, const faults::FaultPlan& plan, Nanos t1,
+                    const std::vector<LaneSpan>& spans, FaultRunCore* out) {
+  SimWorld& world = warm.world();
+  sim::Executor& executor = world.executor();
+  faults::FaultInjector& injector = world.injector();
+  warm.OpenWindow();
+  faults::FaultPlan armed = plan;
+  armed.ShiftBy(warm.window_start());
+  POLAR_CHECK(injector.Arm(std::move(armed)).ok());
+  for (const faults::FaultEvent& crash :
+       injector.EventsOfKind(faults::FaultKind::kNodeCrash)) {
+    if (crash.at >= t1) break;  // the plan is normalized (sorted by `at`)
+    executor.RunUntil(crash.at);
+    for (uint32_t i = 0; i < spans.size(); i++) {
+      if (!crash.Matches(i + 1)) continue;
+      for (uint32_t l = spans[i].first; l <= spans[i].second; l++) {
+        executor.ParkLane(l);
+        const Nanos now = executor.context(l).now;
+        executor.ResumeLane(l, std::max(now, crash.until));
+      }
+    }
+  }
+  executor.RunUntil(t1);
+  injector.Disarm();
+  warm.CloseWindow(out);
+  for (uint32_t i = 0; i < world.num_instances(); i++) {
+    const bufferpool::BufferPoolStats& ps = world.db(i)->pool()->stats();
+    out->degraded_fetches += ps.degraded_fetches;
+    out->fault_rejections += ps.fault_rejections;
+    out->fault_retries += ps.fault_retries;
+    out->retries_exhausted += ps.retries_exhausted;
+  }
+  out->injected = injector.stats();
+  out->window = t1 - warm.window_start();
 }
 
 }  // namespace polarcxl::harness

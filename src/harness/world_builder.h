@@ -1,10 +1,14 @@
 // Copyright 2026 The PolarCXLMem Reproduction Authors.
-// World construction and deterministic snapshot/fork for the experiment
-// drivers. Every driver used to rebuild the same simulated world — fabric,
-// NICs, disk, instances, loaded tables, warmed pool — from zero for every
-// sweep point and every rep. This module centralizes the build (one copy of
-// the load call sites) and lets drivers capture the post-warmup world once
-// per (config key) and fork it for every run that shares the key.
+// World construction, deterministic snapshot/fork, and the run core of the
+// SimWorld drivers (RunPooling, RunChaos, RunOpenLoop). SimWorld builds one
+// simulated host — fabric, NICs, disk, instances, loaded tables — and can
+// capture its post-warmup state and rewind to it. On top of it sits the
+// run core every driver shares: AcquireWarmWorld forks a cached world or
+// builds a cold one (keyed by WorldKey over every Spec field plus the
+// driver's lane-level fields, doubles by bit pattern), WarmWorld brackets
+// the measurement window and fills the RunCore base of the drivers'
+// results, and the fault-run pieces (PointOpLane, AddCheckpointLane,
+// RunFaultWindow) serve the chaos and open-loop drivers.
 //
 // Determinism contract: a forked run is bit-identical to a cold-built run —
 // same lane_steps, metrics, histograms, bandwidth probes. The snapshot is a
@@ -14,17 +18,24 @@
 // handed out by CxlAccessor::Raw) stay valid and no pointer translation
 // ever happens. CXL device bytes are copy-before-write page chunks: the
 // capture copies none of them, and a restore rewrites only the chunks the
-// fork wrote. Parallel sweeps (POLAR_SWEEP_THREADS)
-// serialize per cache key and parallelize across keys.
+// fork wrote. Parallel sweeps (POLAR_SWEEP_THREADS) serialize per cache key
+// and parallelize across keys.
 #pragma once
 
+#include <bit>
+#include <chrono>
 #include <ctime>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/histogram.h"
+#include "common/rng.h"
 #include "engine/database.h"
 #include "fabric/hdm_decoder.h"
 #include "fabric/placement_policy.h"
@@ -77,7 +88,8 @@ inline double ThreadCpuSeconds() {
 }
 
 // ---------------------------------------------------------------------------
-// SimWorld: the shared single-host world of the pooling/chaos drivers
+// SimWorld: the shared single-host world of the pooling/chaos/open-loop
+// drivers
 // ---------------------------------------------------------------------------
 
 /// Shape of the CXL fabric behind the world's instances. The default — one
@@ -109,8 +121,7 @@ struct FabricWorldSpec {
 
 /// One simulated host: CXL fabric + switch(es), RDMA NIC pair, remote memory
 /// pool, client network, shared PolarFS-like disk, and `instances` database
-/// instances loaded with sysbench tables. Identical to what RunPooling and
-/// RunChaos (instances == 1, wire_faults) used to build inline.
+/// instances loaded with sysbench tables.
 class SimWorld {
  public:
   struct Spec {
@@ -143,16 +154,7 @@ class SimWorld {
   faults::FaultInjector& injector() { return injector_; }
   rdma::RdmaNetwork& net() { return net_; }
   cxl::CxlFabric& fabric() { return fabric_; }
-  cxl::CxlMemoryManager& cxl_manager() { return *manager_; }
-  /// Host CXL ports: one accessor per switch in topology mode, the single
-  /// legacy accessor otherwise. Instance i uses port i % num_host_ports().
-  uint32_t num_host_ports() const {
-    return static_cast<uint32_t>(host_accs_.size());
-  }
-  cxl::CxlAccessor* host_port(uint32_t i) { return host_accs_[i]; }
-  rdma::RemoteMemoryPool& remote() { return *remote_; }
   sim::BandwidthChannel* client_net() { return &client_net_; }
-  storage::SimDisk& disk() { return *disk_; }
 
   /// Sum of window_advances over every channel in the world — fabric
   /// (ports/fabrics/uplinks), both NICs, client net, disk bandwidth+IOPS,
@@ -194,7 +196,6 @@ class SimWorld {
   /// snapshot's device cost is the chunks a fork writes, not the pool size.
   /// A second capture replaces the first.
   void CaptureSnapshot();
-  bool has_snapshot() const { return snapshot_ != nullptr; }
   /// Rewinds the world to the captured state (restore-in-place). Device
   /// chunks written since the capture get their saved bytes back in place,
   /// so device addresses — and every Raw() pointer — never move. The fault
@@ -216,7 +217,6 @@ class SimWorld {
   sim::BandwidthModel bw_;
   cxl::CxlFabric fabric_;
   std::vector<cxl::CxlAccessor*> host_accs_;
-  cxl::CxlAccessor* host_acc_ = nullptr;  // == host_accs_[0]
   std::unique_ptr<cxl::CxlMemoryManager> manager_;
   rdma::RdmaNetwork net_;
   std::unique_ptr<rdma::RemoteMemoryPool> remote_;
@@ -230,47 +230,212 @@ class SimWorld {
 };
 
 // ---------------------------------------------------------------------------
-// WorldCache: keyed store of prebuilt worlds
+// Run core: fork-or-build, world keys, the measured window
 // ---------------------------------------------------------------------------
 
-/// Base for the driver-specific cached-world wrappers (world + lane state).
+/// A warmed world parked in a WorldCache: the simulated host plus the lane
+/// state a driver keeps beside it. Lane RNGs listed in `lane_rngs` are
+/// saved after warmup and put back on every fork; drivers whose lanes carry
+/// other state outside the SimWorld snapshot override the lane-state pair.
 struct CachedWorld {
+  explicit CachedWorld(const SimWorld::Spec& spec) : world(spec) {}
   virtual ~CachedWorld() = default;
+  virtual void CaptureLanes();
+  virtual void RestoreLanes();
+
+  SimWorld world;
+  std::vector<Rng*> lane_rngs;
+
+ private:
+  std::vector<uint64_t> rng_states_;
 };
 
-/// Maps a config key to a prebuilt world. Acquire() hands out a lease that
-/// holds the per-key mutex for the duration of the run: two sweep workers
-/// with the same key serialize (they would race on the one world object),
-/// while distinct keys proceed in parallel. The cache owns the worlds; its
-/// destruction frees them, so sweep loops scope one cache per point when
-/// holding every point's world would blow up memory.
+/// Builds a world and registers its lanes (see AcquireWarmWorld).
+using BuildWorldFn = std::function<std::unique_ptr<CachedWorld>()>;
+class WarmWorld;
+
+/// Maps a config key to a prebuilt world. A run holds its key's mutex from
+/// AcquireWarmWorld to its end: two sweep workers with the same key
+/// serialize (they would race on the one world object), while distinct keys
+/// proceed in parallel. The cache owns the worlds; its destruction frees
+/// them, so sweep loops scope one cache per point when holding every
+/// point's world would blow up memory.
 class WorldCache {
  public:
   WorldCache() = default;
   POLAR_DISALLOW_COPY(WorldCache);
 
-  class Lease {
-   public:
-    Lease() = default;
-    /// Null on miss — the caller builds the world and calls put().
-    CachedWorld* get() const { return slot_ != nullptr ? slot_->get() : nullptr; }
-    void put(std::unique_ptr<CachedWorld> world) { *slot_ = std::move(world); }
-
-   private:
-    friend class WorldCache;
-    std::unique_ptr<CachedWorld>* slot_ = nullptr;
-    std::unique_lock<std::mutex> lock_;
-  };
-
-  Lease Acquire(const std::string& key);
-
  private:
+  friend WarmWorld AcquireWarmWorld(WorldCache* cache, const std::string& key,
+                                    uint32_t world_threads, Nanos warmup,
+                                    const BuildWorldFn& build);
   struct Entry {
     std::mutex mu;
     std::unique_ptr<CachedWorld> world;
   };
   std::mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
+  std::unordered_map<std::string, Entry> entries_;
 };
+
+/// Executor counters and wall-clock provenance shared by every SimWorld
+/// driver's result.
+struct RunCore {
+  /// Executor lane-steps over the whole run (setup excluded) and inside
+  /// the measurement window alone, and the largest virtual clock reached.
+  uint64_t lane_steps = 0;
+  uint64_t measure_steps = 0;
+  Nanos virtual_end = 0;
+  /// Wall-clock (thread CPU time) split: everything before the measurement
+  /// window vs the window itself, and whether setup was served by forking a
+  /// cached world snapshot instead of a cold build+load+warmup.
+  double setup_wall_sec = 0;
+  double measure_wall_sec = 0;
+  /// Real (monotonic) wall time of the measurement window. Thread CPU time
+  /// only meters the calling thread, so it under-counts epoch-parallel runs
+  /// where workers do most of the stepping; scaling metrics must divide by
+  /// this instead.
+  double measure_real_sec = 0;
+  bool snapshot_hit = false;
+  /// Epoch-parallel diagnostics (0 on the serial path): epochs executed,
+  /// and how many deferred shared-channel charges replayed to a different
+  /// completion time than the in-epoch observation.
+  uint64_t epochs = 0;
+  uint64_t drain_divergence = 0;
+  /// Scale-cost counters over the measurement window: scheduler operations
+  /// charged by the executor and window-ledger maintenance work across
+  /// every channel in the world. Divide by measure_steps for the
+  /// per-lane-step costs in BENCH_sim_throughput.json's scale_cost section.
+  uint64_t sched_ops = 0;
+  uint64_t window_advances = 0;
+};
+
+/// The warmed world of one run, forked from a cache or built cold, and the
+/// bracket of its measurement window. Holds the cache key's lock (or owns
+/// the cold world) until the run ends.
+class WarmWorld {
+ public:
+  template <typename W>
+  W* as() const { return static_cast<W*>(world_); }
+  SimWorld& world() const { return world_->world; }
+  /// First clock of the measurement window: the earliest lane clock at or
+  /// after the warmup end.
+  Nanos window_start() const { return window_start_; }
+  /// Call just before the window opens: baselines the world's monotone
+  /// counters (forks do not rewind them) and starts the window clocks.
+  void OpenWindow();
+  /// Call right after the window closes: fills `core` with this run's
+  /// deltas, snapshot_hit, and the setup time since AcquireWarmWorld.
+  void CloseWindow(RunCore* core) const;
+
+ private:
+  friend WarmWorld AcquireWarmWorld(WorldCache* cache, const std::string& key,
+                                    uint32_t world_threads, Nanos warmup,
+                                    const BuildWorldFn& build);
+  WarmWorld() = default;
+  std::unique_lock<std::mutex> lock_;
+  std::unique_ptr<CachedWorld> local_;
+  CachedWorld* world_ = nullptr;
+  Nanos window_start_ = 0;
+  /// Counter baselines at OpenWindow; snapshot_hit is this run's, the wall
+  /// fields hold thread CPU time at acquire (setup) and at OpenWindow.
+  RunCore base_;
+  std::chrono::steady_clock::time_point real_start_;
+};
+
+/// Fork-or-build. `build` constructs the world and registers its lanes. A
+/// built world is switched to epoch execution when `world_threads` >= 1
+/// and warmed up for `warmup` past its setup end; without a cache it then
+/// serves this run alone, with one it is captured (world and lanes) and
+/// parked under `key`. A hit re-shards an epoch world for `world_threads`
+/// (it may have been sharded for another count, and Restore pushes lanes
+/// into the current shards), then restores the snapshot and the lanes.
+/// Capture is pure host-side copying, so a cold run that captures is
+/// bit-identical to one that does not, and every fork to both.
+WarmWorld AcquireWarmWorld(WorldCache* cache, const std::string& key,
+                           uint32_t world_threads, Nanos warmup,
+                           const BuildWorldFn& build);
+
+/// Appends fields to a world key, `:`-separated. Doubles are encoded by
+/// bit pattern, so configs that differ in any bit never share a world.
+template <typename... T>
+void AppendKey(std::string* key, const T&... fields) {
+  const auto append = [key](const auto& v) {
+    uint64_t word;
+    if constexpr (std::is_floating_point_v<std::decay_t<decltype(v)>>) {
+      word = std::bit_cast<uint64_t>(static_cast<double>(v));
+    } else {
+      word = static_cast<uint64_t>(v);
+    }
+    *key += ':' + std::to_string(word);
+  };
+  (append(fields), ...);
+}
+
+/// The cache key of a world built from `spec`: `driver`, the epoch
+/// discipline (it changes how drivers wire their lanes) and every Spec
+/// field, fabric included. The thread count is not in it — worlds are
+/// identical across counts and re-sharded on a hit. Drivers append the
+/// lane-level fields that shape the world before the window opens.
+std::string WorldKey(const char* driver, const SimWorld::Spec& spec,
+                     bool epoch);
+
+// ---------------------------------------------------------------------------
+// Fault runs: the pieces RunChaos and RunOpenLoop share
+// ---------------------------------------------------------------------------
+
+/// The fault-run part of ChaosResult and OpenLoopResult.
+struct FaultRunCore : RunCore {
+  /// Operations completed / failed per bucket, origin at the measurement
+  /// window start.
+  TimeSeries ok{Millis(10)};
+  TimeSeries failed{Millis(10)};
+  uint64_t ok_ops = 0;
+  uint64_t failed_ops = 0;
+  /// Buffer-pool degradation counters over the whole run, summed over the
+  /// instances (see BufferPoolStats), and the injector's own accounting.
+  uint64_t degraded_fetches = 0;
+  uint64_t fault_rejections = 0;
+  uint64_t fault_retries = 0;
+  uint64_t retries_exhausted = 0;
+  faults::FaultInjector::Stats injected;
+  Nanos window = 0;  // measurement window length
+};
+
+/// A lane issuing sysbench-style point ops over the Status-returning table
+/// surface, so faults surface as a Status instead of an abort (the sysbench
+/// workload driver POLAR_CHECKs on write failures, right for fault-free
+/// figures only). Chaos lanes and open-loop server lanes derive from it.
+struct PointOpLane {
+  PointOpLane(engine::Database* db, uint64_t seed, uint32_t rows);
+  /// One op: a single-column update with probability `write_fraction`,
+  /// else a point read, on a uniformly drawn table and row.
+  Status Run(sim::ExecContext& ctx, double write_fraction);
+
+  engine::Database* db;
+  Rng rng;
+  uint32_t tables;
+  uint32_t rows;
+  std::string scratch;
+};
+
+/// Registers a lane on `node` that checkpoints `db` every `interval` from
+/// setup_end + interval (none when `interval` is 0). The flushes leave
+/// clean pages that the degraded read path re-serves from storage; lanes
+/// release every page fix before yielding, so a flush never sees one.
+void AddCheckpointLane(sim::Executor& executor, engine::Database* db,
+                       NodeId node, Nanos interval, Nanos setup_end);
+
+/// Lane-id range [first, last] of one instance's lanes.
+using LaneSpan = std::pair<uint32_t, uint32_t>;
+
+/// Runs the measurement window [window_start, t1) of `warm` under `plan`
+/// (timestamps relative to the window start): shifts and arms it, steps
+/// through its node-crash windows — at each crash start the lanes of every
+/// matching instance (node i + 1 owns `spans[i]`) park and resume at the
+/// crash end, a fast process failover — then runs to t1 and disarms. Fills
+/// `out` with the window's RunCore, the pool and injector counters and the
+/// window length.
+void RunFaultWindow(WarmWorld& warm, const faults::FaultPlan& plan, Nanos t1,
+                    const std::vector<LaneSpan>& spans, FaultRunCore* out);
 
 }  // namespace polarcxl::harness

@@ -80,8 +80,7 @@ struct Executor::WorkerPool {
 constexpr Nanos kEpochLoopExit = -1;
 
 Executor::Executor() : shards_(1) {
-  sched_mode_ = LaneScheduler::ModeFromEnv();
-  shards_[0].sched.Init(&hot_, sched_mode_);
+  shards_[0].sched.Init(&hot_, LaneScheduler::Mode::kWheel);
 }
 
 Executor::~Executor() { StopWorkers(); }
@@ -403,7 +402,7 @@ void Executor::RebuildShardScheds() {
   // for (SetThreads used to silently drop the reservation).
   const size_t sizing = std::max(reserved_lanes_, lanes_.size());
   for (Shard& sh : shards_) {
-    sh.sched.Init(&hot_, sched_mode_);
+    sh.sched.Init(&hot_, LaneScheduler::Mode::kWheel);
     sh.sched.Reserve(sizing);
   }
   for (uint32_t id = 0; id < lanes_.size(); id++) {

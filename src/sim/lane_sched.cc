@@ -1,8 +1,6 @@
 #include "sim/lane_sched.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 namespace polarcxl::sim {
 
@@ -13,12 +11,6 @@ int CeilLog2(size_t n) {
   return l;
 }
 }  // namespace
-
-LaneScheduler::Mode LaneScheduler::ModeFromEnv() {
-  const char* v = std::getenv("POLAR_SCHED");
-  if (v != nullptr && std::strcmp(v, "heap") == 0) return Mode::kHeap;
-  return Mode::kWheel;
-}
 
 void LaneScheduler::Init(const std::vector<LaneHot>* hot, Mode mode) {
   hot_ = hot;

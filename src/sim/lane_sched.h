@@ -12,8 +12,9 @@
 // reaches their window, at which point the bucket is bulk-heapified.
 // Every entry in a later window has `at` strictly greater than every
 // entry in the current window, so deferring their ordering is free.
-// POLAR_SCHED=heap selects the flat binary heap (the pre-wheel scheduler)
-// as a fallback and as the oracle for the equivalence property tests.
+// Mode::kHeap keeps the flat binary heap (the pre-wheel scheduler) as the
+// oracle for the equivalence property tests; the executor always runs the
+// wheel.
 //
 // Staleness is lazy-deletion against the executor's cache-local LaneHot
 // sidecar: an entry is dead when its lane is parked, its epoch no longer
@@ -59,11 +60,9 @@ struct SchedEntry {
 
 class LaneScheduler {
  public:
+  /// kWheel is the executor's scheduler; kHeap is the flat binary heap,
+  /// kept as the test oracle (tests/scheduler_test.cc).
   enum class Mode { kWheel, kHeap };
-
-  /// POLAR_SCHED=heap selects the binary-heap fallback; anything else
-  /// (including unset) selects the wheel.
-  static Mode ModeFromEnv();
 
   LaneScheduler() = default;
 

@@ -377,6 +377,50 @@ TEST(TrafficDriverTest, VerbsRetryBudgetSurfacesExhaustion) {
   EXPECT_LT(r.fault_retries, legacy.fault_retries);
 }
 
+TEST(TrafficDriverTest, NodeCrashFreezesOnlyTheCrashedInstance) {
+  // Two instances with one Poisson tenant each; node 2 (instance 1) is
+  // frozen over [20 ms, 50 ms) of the window. The serial executor steps
+  // lanes in clock order, so every step that starts before the crash is the
+  // same whether the window ends at the crash start or later: differences
+  // between such windows are exactly what happened from the crash on.
+  OpenLoopConfig c = QuickOpenLoop(engine::BufferPoolKind::kCxl, 100'000.0);
+  c.instances = 2;
+  c.tenants.resize(2);
+  c.tenants[1] = c.tenants[0];
+  c.tenants[1].name = "gold1";
+  c.tenants[1].instance = 1;
+  faults::FaultEvent crash{faults::FaultKind::kNodeCrash, Millis(20),
+                           Millis(50)};
+  crash.target = 2;
+  c.plan.Add(crash);
+
+  WorldCache cache;
+  OpenLoopConfig cut = c;  // the window closes as the crash starts
+  cut.measure = Millis(20);
+  OpenLoopConfig inside = c;  // ... inside the crash
+  inside.measure = Millis(40);
+  OpenLoopConfig past = c;  // ... after the crashed instance thawed
+  past.measure = Millis(70);
+  const OpenLoopResult before = RunOpenLoop(cut, &cache);
+  const OpenLoopResult frozen = RunOpenLoop(inside, &cache);
+  const OpenLoopResult thawed = RunOpenLoop(past, &cache);
+  ASSERT_EQ(frozen.tenants.size(), 2u);
+
+  // Inside the crash the frozen instance neither takes an arrival nor
+  // completes an op, while the healthy one keeps serving.
+  EXPECT_GT(before.tenants[1].ok_ops, 0u);
+  EXPECT_EQ(frozen.tenants[1].offered, before.tenants[1].offered);
+  EXPECT_EQ(frozen.tenants[1].ok_ops, before.tenants[1].ok_ops);
+  EXPECT_GT(frozen.tenants[0].ok_ops, before.tenants[0].ok_ops);
+  // After the crash window the instance serves again.
+  EXPECT_GT(thawed.tenants[1].ok_ops, frozen.tenants[1].ok_ops);
+
+  // A forked rerun replays the freeze exactly.
+  const OpenLoopResult again = RunOpenLoop(inside, &cache);
+  EXPECT_TRUE(again.snapshot_hit);
+  ExpectIdentical(frozen, again);
+}
+
 TEST(TrafficDriverTest, CapacitySearchBracketsTheKnee) {
   OpenLoopConfig base = QuickOpenLoop(engine::BufferPoolKind::kCxl,
                                       100'000.0);

@@ -326,6 +326,30 @@ TEST(SnapshotTest, ChaosForkRestoresDeviceBytesExactly) {
   }
 }
 
+TEST(SnapshotTest, WorldKeysTellApartDoublesPastTheSixthDigit) {
+  // Each pair differs only after the sixth significant digit of a double
+  // that shapes the world before the window opens. Printed at six digits
+  // (0.9999999 and 0.99999999 both print as "1") the pair shared a key and
+  // the second config silently forked the first one's world.
+  WorldCache cache;
+  PoolingConfig pool = SmallPooling(engine::BufferPoolKind::kCxl);
+  pool.measure = Millis(5);
+  pool.sysbench.zipf_theta = 0.9999999;
+  EXPECT_FALSE(RunPooling(pool, &cache).snapshot_hit);
+  pool.sysbench.zipf_theta = 0.99999999;
+  EXPECT_FALSE(RunPooling(pool, &cache).snapshot_hit);
+  EXPECT_TRUE(RunPooling(pool, &cache).snapshot_hit);
+
+  ChaosConfig chaos = SmallChaos(engine::BufferPoolKind::kCxl);
+  chaos.measure = Millis(5);
+  chaos.plan = faults::FaultPlan{};
+  chaos.write_fraction = 0.25;
+  EXPECT_FALSE(RunChaos(chaos, &cache).snapshot_hit);
+  chaos.write_fraction = 0.2500001;
+  EXPECT_FALSE(RunChaos(chaos, &cache).snapshot_hit);
+  EXPECT_TRUE(RunChaos(chaos, &cache).snapshot_hit);
+}
+
 TEST(SnapshotTest, ReadOnlyForkSavesOnlyPoolMetadataChunks) {
   OracleWorld ow(OracleSpec(), workload::SysbenchOp::kPointSelect, 3);
   ow.world.CaptureSnapshot();

@@ -159,6 +159,8 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
   rctx.now = crash_time;
   DatabaseOptions opt;
   opt.pool_pages = 512;
+  // Declared before db2 so the DRAM pool's memory space outlives it.
+  std::unique_ptr<sim::MemorySpace> dram;
   std::unique_ptr<Database> db2;
   if (use_polar_recv) {
     opt.pool_kind = BufferPoolKind::kCxl;
@@ -173,7 +175,7 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
   } else {
     opt.pool_kind = BufferPoolKind::kDram;
     sim::MemorySpace::Options mo;
-    auto dram = std::make_unique<sim::MemorySpace>(mo);
+    dram = std::make_unique<sim::MemorySpace>(mo);
     bufferpool::DramBufferPool::Options po;
     po.capacity_pages = 512;
     auto pool = std::make_unique<bufferpool::DramBufferPool>(po, dram.get(),
@@ -183,7 +185,6 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
                            sim::CpuCostModel{});
     db2 = std::move(
         *Database::OpenWithPool(rctx, world.Env(), opt, std::move(pool)));
-    (void)dram.release();  // keep alive for the test's lifetime (leak OK)
   }
 
   // Undo pass.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification gate: the tier-1 build + full test suite, then a
-# sanitizer build (ASan+UBSan) of the simulation-core and determinism
-# tests. Run from anywhere; builds land in build/ and build-asan/.
+# sanitizer build (ASan+UBSan) of the simulation-core, determinism and
+# transaction tests. Run from anywhere; builds land in build/ and build-asan/.
 #
 #   tools/check.sh            # tier-1 + sanitizer pass
 #   tools/check.sh --fast     # tier-1 only
@@ -236,7 +236,9 @@ if [[ "${1:-}" == "--fabric" ]]; then
 fi
 
 if [[ "${1:-}" == "--scale" ]]; then
-  echo "==> scale: scheduler wheel-vs-heap equivalence suite"
+  # The executor always runs the timing wheel; the flat binary heap lives on
+  # only as this suite's oracle (LaneScheduler::Mode::kHeap).
+  echo "==> scale: scheduler wheel-vs-heap-oracle equivalence suite"
   build/tests/scheduler_test
   echo "==> scale: 64-instance quick sweep (pins + ops and memory ceilings)"
   # POLAR_SCALE_EXPECT pins the 64-instance lane_steps for both execution
@@ -253,12 +255,14 @@ if [[ "${1:-}" == "--scale" ]]; then
   exit 0
 fi
 
-echo "==> sanitizer: ASan+UBSan build of sim core + determinism tests"
+echo "==> sanitizer: ASan+UBSan build of sim core, determinism and"
+echo "    transaction (undo-record serialization) tests"
 # LTO off: it slows the instrumented build down a lot for no extra signal.
 cmake -B build-asan -S . -DPOLAR_SANITIZE=ON -DPOLAR_LTO=OFF >/dev/null
 cmake --build build-asan -j "$JOBS" \
-  --target sim_test sweep_runner_test determinism_test >/dev/null
-for t in sim_test sweep_runner_test determinism_test; do
+  --target sim_test sweep_runner_test determinism_test transaction_test \
+  >/dev/null
+for t in sim_test sweep_runner_test determinism_test transaction_test; do
   echo "==> build-asan/tests/$t"
   "build-asan/tests/$t"
 done
