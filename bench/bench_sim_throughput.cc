@@ -685,8 +685,8 @@ void WriteJson(const RepSeries& cxl, const RepSeries& rdma, int reps,
 /// POLAR_MAX_SCHED_OPS_PER_STEP caps the per-step scheduler work so an
 /// O(log lanes) or O(lanes) regression in the scheduler fails CI even
 /// though wall time on a loaded runner would hide it.
-/// kMaxDeviceSlackPages and kMaxSavedFraction are the bytes-per-instance
-/// ceilings on the memory ledger, read after the fork.
+/// kMaxDeviceSlackPages, kMaxSavedFraction and kMaxRedoFraction are the
+/// bytes-per-instance ceilings on the memory ledger, read after the fork.
 int ScaleGate(const char* expect) {
   unsigned long long want_serial = 0;
   unsigned long long want_epoch = 0;
@@ -730,11 +730,14 @@ int ScaleGate(const char* expect) {
                 ceiling, serial.SchedOpsPerStep(), epoch.SchedOpsPerStep());
   }
   // Memory ceilings, per instance: the sparse devices may hold at most the
-  // pool region plus kMaxDeviceSlackPages pages, and a read-only fork may
-  // make the snapshot save at most kMaxSavedFraction of the device bytes
-  // (copy-before-write of pool metadata only).
+  // pool region plus kMaxDeviceSlackPages pages, a read-only fork may make
+  // the snapshot save at most kMaxSavedFraction of the device bytes
+  // (copy-before-write of pool metadata only), and the redo log may retain
+  // at most kMaxRedoFraction of the device bytes (the load's checkpoint
+  // frees its records and a read-only window logs nothing).
   constexpr uint64_t kMaxDeviceSlackPages = 1;
   constexpr double kMaxSavedFraction = 0.01;
+  constexpr double kMaxRedoFraction = 0.05;
   for (const ScaleCostPoint& p : points) {
     const uint64_t dev = p.PerInstance(p.memory.device_allocated);
     if (dev > p.region_bytes + kMaxDeviceSlackPages * kPageSize) {
@@ -757,6 +760,16 @@ int ScaleGate(const char* expect) {
                    saved_frac, p.epoch ? "epoch" : "serial", kMaxSavedFraction);
       return 1;
     }
+    const double redo_frac = static_cast<double>(p.memory.redo_records) /
+                             static_cast<double>(p.memory.device_allocated);
+    if (redo_frac > kMaxRedoFraction) {
+      std::fprintf(stderr,
+                   "retained redo %.4f of device bytes after a read-only "
+                   "fork (%s) > ceiling %.4f — the log keeps records below "
+                   "its recovery floor\n",
+                   redo_frac, p.epoch ? "epoch" : "serial", kMaxRedoFraction);
+      return 1;
+    }
   }
   std::printf("memory within ceilings: device bytes/instance serial %llu, "
               "epoch %llu (region %llu + %llu page(s)); snapshot saved "
@@ -772,6 +785,13 @@ int ScaleGate(const char* expect) {
               static_cast<double>(epoch.memory.snapshot_saved) /
                   static_cast<double>(epoch.memory.device_allocated),
               kMaxSavedFraction);
+  std::printf("retained redo bytes/instance serial %llu, epoch %llu "
+              "(ceiling %.4f of device bytes)\n",
+              static_cast<unsigned long long>(
+                  serial.PerInstance(serial.memory.redo_records)),
+              static_cast<unsigned long long>(
+                  epoch.PerInstance(epoch.memory.redo_records)),
+              kMaxRedoFraction);
   return 0;
 }
 

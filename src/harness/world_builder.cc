@@ -266,10 +266,10 @@ SimWorld::MemoryLedger SimWorld::MemoryBytes() const {
 /// Everything mutable in the simulated world outside the CXL devices,
 /// captured by value. The page-store and remote-pool page maps are
 /// shared_ptr snapshots (CoW: WritePage clones a page only while a snapshot
-/// still references it), the rest is deep-copied — DRAM pool frames, page
-/// tables, LRU lists, cache-sim arrays and channel ledgers. Device bytes are
-/// not here: each device keeps its own copy-before-write save slots (see
-/// cxl/cxl_device.h).
+/// still references it), and so are the redo logs' sealed segments; the
+/// rest is deep-copied — DRAM pool frames, page tables, LRU lists, cache-sim
+/// arrays and channel ledgers. Device bytes are not here: each device keeps
+/// its own copy-before-write save slots (see cxl/cxl_device.h).
 struct SimWorld::Snapshot {
   sim::Executor::State executor;
   sim::BandwidthChannel::State client_net;

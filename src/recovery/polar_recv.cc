@@ -46,7 +46,9 @@ PolarRecvStats PolarRecv(sim::ExecContext& ctx,
   }
 
   if (!repair_blocks.empty()) {
-    // Rebuild hazardous pages: base image from storage, then durable redo.
+    // Rebuild hazardous pages: base image from storage, then durable redo
+    // from the checkpoint on (retained: the log's recovery floor is never
+    // above the checkpoint).
     log->ChargeScan(ctx, log->checkpoint_lsn());
     std::map<PageId, std::vector<const storage::RedoRecord*>> by_page;
     for (const storage::RedoRecord* rec :

@@ -55,7 +55,9 @@ RecoveryStats RecoverAries(sim::ExecContext& ctx,
   log->ChargeScan(ctx, from);
   stats.scanned_bytes = log->flushed_lsn() - from;
 
-  // 2. Group records by page, preserving LSN order.
+  // 2. Group records by page, preserving LSN order. The log retains every
+  //    record from the checkpoint on (its recovery floor is never above
+  //    the checkpoint), so nothing replay needs has been freed.
   std::map<PageId, std::vector<const storage::RedoRecord*>> by_page;
   for (const storage::RedoRecord* rec : log->DurableRecordsFrom(from)) {
     ctx.Advance(costs.log_record_parse);

@@ -13,6 +13,10 @@ TxnUndoStats UndoLoserTransactions(sim::ExecContext& ctx,
 
   // One scan: which transactions have undo info, which are resolved.
   // (The redo pass already charged the log scan; records are in memory.)
+  // The log has freed the records below its recovery floor, but none of
+  // them can make a loser: a transaction with no durable marker keeps its
+  // undo records from its first one on (RedoLog::Checkpoint), and one
+  // whose marker was freed had all its undo records freed before it.
   std::set<uint64_t> seen;
   std::set<uint64_t> resolved;
   std::vector<const storage::RedoRecord*> undo_records;

@@ -1,6 +1,8 @@
 #include "storage/redo_log.h"
 
 #include <algorithm>
+#include <iterator>
+#include <memory>
 
 #include "sim/epoch.h"
 
@@ -21,9 +23,28 @@ Lsn RedoLog::AppendMtr(std::vector<RedoRecord>* records) {
 }
 
 void RedoLog::SealBuffer() {
+  for (const RedoRecord& rec : buffer_) {
+    if (rec.kind != RedoKind::kUndoInfo && rec.kind != RedoKind::kTxnCommit &&
+        rec.kind != RedoKind::kTxnAbort) {
+      continue;
+    }
+    // Newest first: a transaction's own undo records and marker are usually
+    // at the back of the list.
+    const auto open = std::find_if(
+        open_txns_.rbegin(), open_txns_.rend(),
+        [&rec](const OpenTxn& o) { return o.txn_id == rec.txn_id; });
+    if (rec.kind == RedoKind::kUndoInfo) {
+      if (open == open_txns_.rend()) {
+        open_txns_.push_back({rec.txn_id, rec.lsn});
+      }
+    } else if (open != open_txns_.rend()) {
+      open_txns_.erase(std::next(open).base());
+    }
+  }
   const size_t n = buffer_.size();
-  durable_segs_.emplace_back();
-  durable_segs_.back().swap(buffer_);
+  auto seg = std::make_shared<Segment>();
+  seg->swap(buffer_);
+  durable_segs_.push_back(std::move(seg));
   // The next fill resembles the last one, so pre-size the fresh buffer to
   // skip its geometric-growth element moves.
   buffer_.reserve(n);
@@ -67,32 +88,52 @@ void RedoLog::LoseUnflushedTail() {
   next_lsn_ = flushed_lsn_;
 }
 
+std::vector<std::shared_ptr<const RedoLog::Segment>>::const_iterator
+RedoLog::FirstSegmentPast(Lsn lsn) const {
+  // Segments and the records within each are LSN-ordered, and sealed
+  // segments are never empty.
+  return std::partition_point(
+      durable_segs_.begin(), durable_segs_.end(),
+      [lsn](const std::shared_ptr<const Segment>& s) {
+        return s->back().end_lsn() <= lsn;
+      });
+}
+
+void RedoLog::Checkpoint(Lsn lsn) {
+  POLAR_CHECK(lsn <= flushed_lsn_);
+  checkpoint_lsn_ = std::max(lsn, checkpoint_lsn_);
+  const Lsn floor =
+      open_txns_.empty()
+          ? checkpoint_lsn_
+          : std::min(checkpoint_lsn_, open_txns_.front().first_undo_lsn);
+  durable_segs_.erase(durable_segs_.begin(), FirstSegmentPast(floor));
+  // The reservation SealBuffer() sized to the last fill (after a bulk load,
+  // the whole load's final batch) would otherwise stay with an idle log.
+  // Steady-state batches regrow it once per checkpoint interval.
+  if (buffer_.empty()) Segment().swap(buffer_);
+}
+
 uint64_t RedoLog::RetainedBytes() const {
-  auto bytes = [](const std::vector<RedoRecord>& records) {
+  auto bytes = [](const Segment& records) {
     uint64_t total = records.capacity() * sizeof(RedoRecord);
     for (const RedoRecord& r : records) total += r.data.heap_bytes();
     return total;
   };
   uint64_t total = bytes(buffer_);
-  for (const std::vector<RedoRecord>& seg : durable_segs_) total += bytes(seg);
+  for (const auto& seg : durable_segs_) total += bytes(*seg);
   return total;
 }
 
 std::vector<const RedoRecord*> RedoLog::DurableRecordsFrom(Lsn from) const {
   std::vector<const RedoRecord*> out;
-  // Segments and the records within each are LSN-ordered (sealed segments
-  // are never empty), so binary search the first segment reaching past
-  // `from`, then the start record within each remaining segment.
-  auto seg = std::partition_point(
-      durable_segs_.begin(), durable_segs_.end(),
-      [from](const std::vector<RedoRecord>& s) {
-        return s.back().end_lsn() <= from;
-      });
-  for (; seg != durable_segs_.end(); ++seg) {
+  // Binary search the first segment reaching past `from`, then the start
+  // record within each remaining segment.
+  for (auto seg = FirstSegmentPast(from); seg != durable_segs_.end(); ++seg) {
+    const Segment& records = **seg;
     auto it = std::partition_point(
-        seg->begin(), seg->end(),
+        records.begin(), records.end(),
         [from](const RedoRecord& r) { return r.end_lsn() <= from; });
-    for (; it != seg->end(); ++it) out.push_back(&*it);
+    for (; it != records.end(); ++it) out.push_back(&*it);
   }
   return out;
 }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include "common/macros.h"
@@ -170,12 +171,14 @@ class RedoLog {
   /// Crash: the volatile buffer is lost. Durable records stay.
   void LoseUnflushedTail();
 
-  /// Advance the checkpoint (older records become irrelevant for recovery
-  /// but are retained for test introspection).
-  void Checkpoint(Lsn lsn) {
-    POLAR_CHECK(lsn <= flushed_lsn_);
-    checkpoint_lsn_ = lsn > checkpoint_lsn_ ? lsn : checkpoint_lsn_;
-  }
+  /// Advances the checkpoint and frees every durable segment that lies
+  /// wholly below the recovery floor: the lower of the checkpoint LSN and
+  /// the first undo record of the oldest transaction with no durable
+  /// commit/abort marker. Redo replay starts at the checkpoint and the undo
+  /// pass only reads the undo records of such open transactions, so no
+  /// recovery reads a freed record. An empty buffer also gives back the
+  /// reservation its last fill left behind.
+  void Checkpoint(Lsn lsn);
 
   Lsn current_lsn() const { return next_lsn_; }
   Lsn flushed_lsn() const { return flushed_lsn_; }
@@ -184,27 +187,43 @@ class RedoLog {
     return next_lsn_ - flushed_lsn_;
   }
 
-  /// Durable records with lsn >= `from`, in LSN order. (Recovery drivers
-  /// charge the disk for the scan themselves via ChargeScan.)
+  /// Durable records with lsn >= `from` that are still retained, in LSN
+  /// order (see Checkpoint() for what is freed). Recovery drivers charge
+  /// the disk for the scan themselves via ChargeScan.
   std::vector<const RedoRecord*> DurableRecordsFrom(Lsn from) const;
 
   /// Charges the disk for scanning the durable log from `from` to the end.
+  /// Pure LSN arithmetic: freeing records below the floor does not change
+  /// what a scan costs.
   void ChargeScan(sim::ExecContext& ctx, Lsn from);
 
   SimDisk* disk() { return disk_; }
 
-  /// Host bytes the retained records occupy: durable segments and the
-  /// buffer, counting reserved slots and spilled payloads (records below
-  /// the checkpoint are retained too, see Checkpoint()).
+  /// Host bytes the retained records occupy: durable segments not yet
+  /// freed by Checkpoint() and the buffer, counting reserved slots and
+  /// spilled payloads.
   uint64_t RetainedBytes() const;
 
-  /// World snapshot of the log. Durable segments are sealed-immutable (a
-  /// flush only ever appends a new segment), so capturing their COUNT is
-  /// enough: restore truncates back to it and any segments sealed after the
-  /// capture vanish. Only the volatile buffer needs a deep copy.
+  /// One flushed buffer, LSN-ordered and never empty. Sealed segments are
+  /// immutable, so the log and any number of snapshots share them.
+  using Segment = std::vector<RedoRecord>;
+
+  /// A transaction whose undo info is durable but whose commit/abort marker
+  /// is not (yet): the undo pass would roll it back.
+  struct OpenTxn {
+    uint64_t txn_id = 0;
+    Lsn first_undo_lsn = 0;
+  };
+
+  /// World snapshot of the log. It holds the durable segments it saw by
+  /// shared_ptr, so a later checkpoint that frees them from the log does
+  /// not free them from the snapshot, and Restore gives back exactly the
+  /// durable records of the capture. Only the volatile buffer and the small
+  /// open-transaction list are deep-copied.
   struct State {
-    size_t durable_seg_count = 0;
-    std::vector<RedoRecord> buffer;
+    std::vector<std::shared_ptr<const Segment>> durable_segs;
+    std::vector<OpenTxn> open_txns;
+    Segment buffer;
     Lsn next_lsn = 0;
     Lsn flushed_lsn = 0;
     Lsn checkpoint_lsn = 0;
@@ -213,7 +232,8 @@ class RedoLog {
   };
   State Capture() const {
     State s;
-    s.durable_seg_count = durable_segs_.size();
+    s.durable_segs = durable_segs_;
+    s.open_txns = open_txns_;
     s.buffer = buffer_;
     s.next_lsn = next_lsn_;
     s.flushed_lsn = flushed_lsn_;
@@ -223,8 +243,8 @@ class RedoLog {
     return s;
   }
   void Restore(const State& s) {
-    POLAR_CHECK(s.durable_seg_count <= durable_segs_.size());
-    durable_segs_.resize(s.durable_seg_count);
+    durable_segs_ = s.durable_segs;
+    open_txns_ = s.open_txns;
     buffer_ = s.buffer;
     next_lsn_ = s.next_lsn;
     flushed_lsn_ = s.flushed_lsn;
@@ -235,18 +255,28 @@ class RedoLog {
 
  private:
   /// Moves the whole buffer into the durable portion as one sealed segment
-  /// (O(1): a vector swap, no per-record moves or mega-vector regrowth).
+  /// (no per-record moves or mega-vector regrowth) and updates the open
+  /// transactions from the records it makes durable.
   void SealBuffer();
 
+  /// First durable segment whose last record ends past `lsn`.
+  std::vector<std::shared_ptr<const Segment>>::const_iterator
+  FirstSegmentPast(Lsn lsn) const;
+
   SimDisk* disk_;
-  // Durable records, stored as the sequence of flushed buffer segments.
-  // Segments (and records within each) are LSN-ordered, so readers binary
-  // search at segment granularity first. Compared to one flat vector this
-  // never re-moves a record after it lands: a flush retires the buffer by
-  // swapping it in, instead of pushing ~240-byte records one at a time
-  // into a vector whose geometric regrowth re-copies the whole log.
-  std::vector<std::vector<RedoRecord>> durable_segs_;
-  std::vector<RedoRecord> buffer_;  // volatile tail (local DRAM)
+  // Durable records not yet freed by Checkpoint(), stored as the sequence
+  // of flushed buffer segments. Segments (and records within each) are
+  // LSN-ordered, so readers binary search at segment granularity first.
+  // Compared to one flat vector this never re-moves a record after it
+  // lands, and a checkpoint frees whole segments from the front.
+  std::vector<std::shared_ptr<const Segment>> durable_segs_;
+  // Open transactions in first-undo LSN order (oldest first). A flush only
+  // appends records with LSNs above every earlier one, so a transaction is
+  // pushed at the back and the front holds the oldest; a durable marker
+  // erases its entry. The list holds the transactions in flight at once,
+  // so linear search is cheap and nothing is allocated per transaction.
+  std::vector<OpenTxn> open_txns_;
+  Segment buffer_;  // volatile tail (local DRAM)
   Lsn next_lsn_ = 0;
   Lsn flushed_lsn_ = 0;
   Lsn checkpoint_lsn_ = 0;

@@ -79,6 +79,39 @@ class RedoLogTest : public ::testing::Test {
     return r;
   }
 
+  /// Appends one record as its own mini-transaction; returns its start LSN.
+  Lsn Append(RedoRecord rec) {
+    const Lsn start = log_.current_lsn();
+    std::vector<RedoRecord> recs;
+    recs.push_back(std::move(rec));
+    log_.AppendMtr(std::move(recs));
+    return start;
+  }
+
+  /// Appends one record and flushes it as its own durable segment.
+  Lsn AppendFlushed(RedoRecord rec) {
+    const Lsn start = Append(std::move(rec));
+    ExecContext ctx;
+    log_.Flush(ctx);
+    return start;
+  }
+
+  static RedoRecord TxnRecord(RedoKind kind, uint64_t txn) {
+    RedoRecord r;
+    r.kind = kind;
+    r.txn_id = txn;
+    if (kind == RedoKind::kUndoInfo) r.data = {1, 2, 3};
+    return r;
+  }
+
+  std::vector<Lsn> DurableLsnsFrom(Lsn from) const {
+    std::vector<Lsn> lsns;
+    for (const RedoRecord* r : log_.DurableRecordsFrom(from)) {
+      lsns.push_back(r->lsn);
+    }
+    return lsns;
+  }
+
   SimDisk disk_;
   RedoLog log_;
 };
@@ -149,6 +182,99 @@ TEST_F(RedoLogTest, CheckpointMonotonic) {
   EXPECT_EQ(log_.checkpoint_lsn(), flushed);
   log_.Checkpoint(0);  // must not regress
   EXPECT_EQ(log_.checkpoint_lsn(), flushed);
+}
+
+TEST_F(RedoLogTest, CheckpointFreesSegmentsBelowTheFloor) {
+  Lsn mid = 0;
+  for (int i = 0; i < 10; i++) {
+    AppendFlushed(MakeRecord(static_cast<PageId>(i), 0,
+                             std::vector<uint8_t>(300, 7), log_.NewMtrId()));
+    if (i == 4) mid = log_.flushed_lsn();
+  }
+  const uint64_t before = log_.RetainedBytes();
+  const std::vector<Lsn> tail = DurableLsnsFrom(mid);
+  ASSERT_EQ(tail.size(), 5u);
+
+  log_.Checkpoint(mid);
+  EXPECT_LT(log_.RetainedBytes(), before);
+  EXPECT_EQ(DurableLsnsFrom(mid), tail);
+  EXPECT_EQ(DurableLsnsFrom(0), tail);  // everything below is gone
+  // Scan charges are LSN arithmetic, not retained bytes.
+  disk_.ResetStats();
+  ExecContext scan;
+  log_.ChargeScan(scan, 0);
+  EXPECT_EQ(disk_.read_bytes(), log_.flushed_lsn());
+
+  // A checkpoint at the end leaves an idle log holding nothing, not even
+  // the buffer reservation sized to the last flush.
+  log_.Checkpoint(log_.flushed_lsn());
+  EXPECT_TRUE(log_.DurableRecordsFrom(0).empty());
+  EXPECT_EQ(log_.RetainedBytes(), 0u);
+}
+
+TEST_F(RedoLogTest, OpenTransactionKeepsItsUndoAcrossCheckpoint) {
+  AppendFlushed(MakeRecord(1, 0, {1}, log_.NewMtrId()));
+  const Lsn undo = AppendFlushed(TxnRecord(RedoKind::kUndoInfo, 7));
+  AppendFlushed(MakeRecord(2, 0, {2}, log_.NewMtrId()));
+  AppendFlushed(TxnRecord(RedoKind::kUndoInfo, 7));
+  // Another transaction resolved durably: it does not hold the floor.
+  AppendFlushed(TxnRecord(RedoKind::kUndoInfo, 8));
+  AppendFlushed(TxnRecord(RedoKind::kTxnCommit, 8));
+
+  log_.Checkpoint(log_.flushed_lsn());
+  std::vector<Lsn> kept = DurableLsnsFrom(0);
+  ASSERT_FALSE(kept.empty());
+  EXPECT_EQ(kept.front(), undo);  // freed below txn 7's first undo record
+  EXPECT_EQ(kept.size(), 5u);
+}
+
+TEST_F(RedoLogTest, UnflushedMarkerDoesNotReleaseUndo) {
+  const Lsn undo = AppendFlushed(TxnRecord(RedoKind::kUndoInfo, 7));
+  AppendFlushed(MakeRecord(1, 0, {1}, log_.NewMtrId()));
+  Append(TxnRecord(RedoKind::kTxnCommit, 7));  // still in the buffer
+  log_.Checkpoint(log_.flushed_lsn());
+  ASSERT_FALSE(log_.DurableRecordsFrom(0).empty());
+  EXPECT_EQ(log_.DurableRecordsFrom(0).front()->lsn, undo);
+
+  // A crash loses the marker: the undo pass would still need the records.
+  log_.LoseUnflushedTail();
+  log_.Checkpoint(log_.flushed_lsn());
+  ASSERT_FALSE(log_.DurableRecordsFrom(0).empty());
+  EXPECT_EQ(log_.DurableRecordsFrom(0).front()->lsn, undo);
+
+  // Once the marker is durable the transaction no longer holds the floor.
+  AppendFlushed(TxnRecord(RedoKind::kTxnCommit, 7));
+  log_.Checkpoint(log_.flushed_lsn());
+  EXPECT_TRUE(log_.DurableRecordsFrom(0).empty());
+}
+
+TEST_F(RedoLogTest, RestoreAfterTruncatingCheckpointGivesBackCapture) {
+  for (int i = 0; i < 4; i++) {
+    AppendFlushed(MakeRecord(static_cast<PageId>(i), 0, {1, 2},
+                             log_.NewMtrId()));
+  }
+  const Lsn undo = AppendFlushed(TxnRecord(RedoKind::kUndoInfo, 9));
+  Append(MakeRecord(5, 0, {3}, log_.NewMtrId()));  // unflushed tail
+  const std::vector<const RedoRecord*> captured = log_.DurableRecordsFrom(0);
+  const RedoLog::State state = log_.Capture();
+
+  // Resolve txn 9 and checkpoint past everything: the log frees it all.
+  AppendFlushed(TxnRecord(RedoKind::kTxnCommit, 9));
+  log_.Checkpoint(log_.flushed_lsn());
+  ASSERT_TRUE(log_.DurableRecordsFrom(0).empty());
+
+  log_.Restore(state);
+  EXPECT_EQ(log_.DurableRecordsFrom(0), captured);
+  EXPECT_EQ(log_.checkpoint_lsn(), 0u);
+  EXPECT_EQ(log_.unflushed_bytes(), 32u + 1u);
+
+  // The restored log again treats txn 9 as open: a checkpoint keeps its
+  // undo record.
+  ExecContext ctx;
+  log_.Flush(ctx);
+  log_.Checkpoint(log_.flushed_lsn());
+  ASSERT_FALSE(log_.DurableRecordsFrom(0).empty());
+  EXPECT_EQ(log_.DurableRecordsFrom(0).front()->lsn, undo);
 }
 
 TEST_F(RedoLogTest, ChargeScanCostsProportionalToLogSize) {

@@ -121,12 +121,12 @@ TEST(TransactionTest, FailedStatementDoesNotPoisonUndo) {
 }
 
 /// Crash with a transaction in flight: redo restores its writes (they were
-/// durable), the undo pass rolls them back. Parameterized over PolarRecv
-/// and the vanilla ARIES path.
-class LoserTxnTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
-  const bool use_polar_recv = GetParam();
+/// durable), the undo pass rolls them back. With `checkpoint_before_crash`
+/// a checkpoint lands between the loser's writes and the crash, so the
+/// log frees what lies below the checkpoint except the loser's undo
+/// records. Run over PolarRecv and the vanilla ARIES path.
+void CrashWithLoserAndRecover(bool use_polar_recv,
+                              bool checkpoint_before_crash) {
   TxnWorld world;
   auto db = world.MakeDb(use_polar_recv ? BufferPoolKind::kCxl
                                         : BufferPoolKind::kDram);
@@ -140,6 +140,7 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
   ASSERT_TRUE(txns.Commit(ctx, winner.get()).ok());
 
   // An in-flight transaction (loser): writes durable, no commit marker.
+  const Lsn loser_start = world.log.current_lsn();
   auto loser = txns.Begin(ctx);
   ASSERT_TRUE(
       txns.Update(ctx, loser.get(), 0, 20, std::string(32, 'L')).ok());
@@ -147,6 +148,18 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
       txns.Insert(ctx, loser.get(), 0, 600, std::string(32, 'L')).ok());
   ASSERT_TRUE(txns.Delete(ctx, loser.get(), 0, 30).ok());
   world.log.Flush(ctx);  // the loser's writes and undo info ARE durable
+  if (checkpoint_before_crash) {
+    db->Checkpoint(ctx);
+    ASSERT_EQ(world.log.checkpoint_lsn(), world.log.flushed_lsn());
+    // The load and the winner are freed; the loser's records are not.
+    // (Non-fatal, so the recovery below is checked even if this fails.)
+    const auto kept = world.log.DurableRecordsFrom(0);
+    EXPECT_FALSE(kept.empty());
+    if (!kept.empty()) {
+      EXPECT_EQ(kept.front()->lsn, loser_start);
+      EXPECT_EQ(kept.front()->kind, storage::RedoKind::kUndoInfo);
+    }
+  }
 
   const MemOffset region =
       use_polar_recv ? db->cxl_region() : MemOffset{0};
@@ -202,6 +215,17 @@ TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
   auto again = recovery::UndoLoserTransactions(rctx, db2.get());
   EXPECT_EQ(again.loser_txns, 0u);
   EXPECT_EQ(again.undo_ops_applied, 0u);
+}
+
+/// Parameterized over PolarRecv (true) and the vanilla ARIES path.
+class LoserTxnTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(LoserTxnTest, LoserTransactionIsRolledBackAfterCrash) {
+  CrashWithLoserAndRecover(GetParam(), /*checkpoint_before_crash=*/false);
+}
+
+TEST_P(LoserTxnTest, LoserOpenAcrossCheckpointIsRolledBack) {
+  CrashWithLoserAndRecover(GetParam(), /*checkpoint_before_crash=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, LoserTxnTest, ::testing::Bool(),

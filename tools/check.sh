@@ -244,9 +244,10 @@ if [[ "${1:-}" == "--scale" ]]; then
   # POLAR_SCALE_EXPECT pins the 64-instance lane_steps for both execution
   # modes (exit 1 on drift); POLAR_MAX_SCHED_OPS_PER_STEP fails the gate
   # if per-step scheduler work regresses toward O(log n). The gate also
-  # applies two fixed bytes-per-instance ceilings to the memory ledger
+  # applies three fixed bytes-per-instance ceilings to the memory ledger
   # (ScaleGate in bench_sim_throughput.cc): device bytes <= pool region +
-  # 1 page, and bytes saved by a read-only fork <= 1 % of device bytes.
+  # 1 page, bytes saved by a read-only fork <= 1 % of device bytes, and
+  # retained redo bytes <= 5 % of device bytes.
   POLAR_BENCH_SCALE=0.1 \
     POLAR_SCALE_EXPECT="$SCALE_EXPECT_QUICK" \
     POLAR_MAX_SCHED_OPS_PER_STEP="$SCALE_MAX_SCHED_OPS" \
