@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "bench/pins.h"
 #include "common/types.h"
 #include "harness/report.h"
 
@@ -19,6 +20,9 @@ inline double BenchScale() {
   const double v = std::atof(env);
   return v > 0 ? v : 1.0;
 }
+
+/// True at the scale the pin table's bench values hold for (bench/pins.h).
+inline bool AtPinnedScale() { return BenchScale() == pins::kPinnedScale; }
 
 inline Nanos Scaled(Nanos base) {
   return static_cast<Nanos>(static_cast<double>(base) * BenchScale());

@@ -20,12 +20,11 @@
 // 64 B line traffic, so narrow device links are what make topology,
 // placement, and interleave choices visible at all.
 // Full-scale runs refresh BENCH_fabric_topology.json (committed).
-// POLAR_FABRIC_EXPECT="<serial>,<epoch>" turns the run into a lane_steps
-// bit-identity gate over the 2-switch reference point, serial and epoch
-// (POLAR_WORLD_THREADS 1/2/4 must all retire the same epoch pin); see
-// tools/check.sh --fabric.
+// Every run checks that the 2-switch reference point retires the same epoch
+// lane_steps at world threads 1/2/4; at the pinned scale
+// (POLAR_BENCH_SCALE=0.1) its serial and epoch values are also held to
+// bench/pins.h (tools/check.sh --fabric).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -277,8 +276,7 @@ int Main() {
 
   // Determinism gate over the 2-switch reference point: the epoch-parallel
   // discipline must retire identical lane_steps at every thread count, and
-  // POLAR_FABRIC_EXPECT="<serial>,<epoch>" pins the absolute values
-  // (tools/check.sh --fabric runs this at quick scale).
+  // at the pinned scale bench/pins.h pins the absolute values.
   const PoolingResult serial = RunPooling(GateConfig(0));
   unsigned long long epoch_steps = 0;
   for (int threads : {1, 2, 4}) {
@@ -299,23 +297,9 @@ int Main() {
               "%llu epoch (threads 1/2/4 identical)\n",
               static_cast<unsigned long long>(serial.lane_steps),
               epoch_steps);
-  if (const char* expect = std::getenv("POLAR_FABRIC_EXPECT")) {
-    unsigned long long want_serial = 0, want_epoch = 0;
-    if (std::sscanf(expect, "%llu,%llu", &want_serial, &want_epoch) != 2) {
-      std::fprintf(stderr, "bad POLAR_FABRIC_EXPECT: %s\n", expect);
-      return 2;
-    }
-    if (serial.lane_steps != want_serial || epoch_steps != want_epoch) {
-      std::fprintf(stderr,
-                   "fabric lane_steps drift: got %llu,%llu expected %s\n",
-                   static_cast<unsigned long long>(serial.lane_steps),
-                   epoch_steps, expect);
-      return 1;
-    }
-    std::printf("fabric lane_steps match POLAR_FABRIC_EXPECT (%s)\n",
-                expect);
-  }
-  return 0;
+  if (!AtPinnedScale()) return 0;
+  return pins::CheckPins("fabric", pins::kFabricGate,
+                         {serial.lane_steps, epoch_steps});
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 // The three experiments are independent and fan out over
 // POLAR_SWEEP_THREADS; results are bit-identical for any thread count.
 // Full-scale runs refresh BENCH_fault_resilience.json (committed).
-// POLAR_CHAOS_EXPECT="<cxl>,<dram>,<rdma>" turns the run into a
-// lane_steps bit-identity gate (tools/check.sh --faults).
+// At the pinned scale (POLAR_BENCH_SCALE=0.1) the run is also a lane_steps
+// bit-identity gate against bench/pins.h (tools/check.sh --faults).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -161,29 +161,13 @@ int Main() {
         "POLAR_BENCH_SCALE != 1: BENCH_fault_resilience.json not refreshed\n");
   }
 
-  // Determinism gate: POLAR_CHAOS_EXPECT="<cxl>,<dram>,<rdma>" lane_steps.
-  // Virtual-time output must not move with host speed or thread count —
-  // only with semantic changes to the simulation or the fault model.
-  if (const char* expect = std::getenv("POLAR_CHAOS_EXPECT")) {
-    unsigned long long want[3] = {0, 0, 0};
-    if (std::sscanf(expect, "%llu,%llu,%llu", &want[0], &want[1], &want[2]) !=
-        3) {
-      std::fprintf(stderr, "bad POLAR_CHAOS_EXPECT: %s\n", expect);
-      return 2;
-    }
-    for (int i = 0; i < 3; i++) {
-      if (results[i].lane_steps != want[i]) {
-        std::fprintf(stderr,
-                     "chaos lane_steps drift (%s): got %llu, expected %llu\n",
-                     ChaosPoolName(configs[i].kind),
-                     static_cast<unsigned long long>(results[i].lane_steps),
-                     want[i]);
-        return 1;
-      }
-    }
-    std::printf("chaos lane_steps match POLAR_CHAOS_EXPECT (%s)\n", expect);
-  }
-  return 0;
+  // Determinism gate: virtual-time output must not move with host speed or
+  // thread count — only with semantic changes to the simulation or the
+  // fault model.
+  if (!AtPinnedScale()) return 0;
+  return pins::CheckPins("chaos", pins::kChaosBench,
+                         {results[0].lane_steps, results[1].lane_steps,
+                          results[2].lane_steps});
 }
 
 }  // namespace

@@ -19,6 +19,13 @@
 // forked world that diverges from the cold one fails the bench — so the
 // repetitions double as the snapshot determinism gate. The setup-vs-measure
 // wall split and the amortization from forking are recorded in the JSON.
+//
+// At the pinned scale (POLAR_BENCH_SCALE=0.1) the bench checks its lane_steps
+// against bench/pins.h: the serial fig7 set, or the epoch set when
+// POLAR_WORLD_THREADS selects epoch-parallel execution. A POLAR_PROF build
+// there also gates the engine+cache_sim share of profiled self time.
+// `--scale-gate` runs only the 64-instance pair: its pins, the
+// sched-ops-per-step ceiling and the bytes-per-instance memory ceilings.
 #include <malloc.h>
 
 #include <algorithm>
@@ -385,75 +392,22 @@ void PrintScaleCost(const std::vector<ScaleCostPoint>& points) {
   table.Print();
 }
 
-/// Reads the previously committed "profile" object (balanced-brace scan) so
-/// a profiler-free build — the one that produces the committed throughput
-/// numbers — does not discard the breakdown a POLAR_PROF build recorded.
-std::string CarriedProfile() {
-  FILE* f = std::fopen("BENCH_sim_throughput.json", "r");
-  if (f == nullptr) return "";
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  const size_t key = text.find("\"profile\": {");
-  if (key == std::string::npos) return "";
-  const size_t open = text.find('{', key);
-  int depth = 0;
-  for (size_t i = open; i < text.size(); i++) {
-    if (text[i] == '{') depth++;
-    if (text[i] == '}' && --depth == 0) {
-      return text.substr(open, i - open + 1);
-    }
-  }
-  return "";
-}
-
-double SumSelfSec(const std::string& profile) {
-  double sum = 0;
-  size_t pos = 0;
-  while ((pos = profile.find("\"self_sec\":", pos)) != std::string::npos) {
-    pos += 11;
-    sum += std::atof(profile.c_str() + pos);
-  }
-  return sum;
-}
-
-double DomainSelfSec(const std::string& profile, const char* name) {
-  const size_t key = profile.find("\"" + std::string(name) + "\":");
-  if (key == std::string::npos) return 0;
-  const size_t pos = profile.find("\"self_sec\":", key);
-  if (pos == std::string::npos) return 0;
-  return std::atof(profile.c_str() + pos + 11);
-}
-
 /// Fraction of profiled self CPU time spent in the two hot-path domains
-/// (engine + cache_sim). This is the regression surface of the
-/// static-dispatch / SIMD-kernel work: if the pool re-virtualizes or a
-/// probe path bloats, these domains grow relative to the rest of the
-/// simulator. Prefers a fresh POLAR_PROF measurement; falls back to the
-/// committed profile section. Returns a negative value if no profile is
-/// available at all.
+/// (engine + cache_sim), in a POLAR_PROF build. This is the regression
+/// surface of the static-dispatch / SIMD-kernel work: if the pool
+/// re-virtualizes or a probe path bloats, these domains grow relative to
+/// the rest of the simulator.
 double HotSelfShare() {
-  if (prof::kEnabled) {
-    double hot = 0;
-    double sum = 0;
-    for (const prof::DomainTotals& t : prof::Collect()) {
-      sum += t.self_sec;
-      if (std::strcmp(t.name, "engine") == 0 ||
-          std::strcmp(t.name, "cache_sim") == 0) {
-        hot += t.self_sec;
-      }
+  double hot = 0;
+  double sum = 0;
+  for (const prof::DomainTotals& t : prof::Collect()) {
+    sum += t.self_sec;
+    if (std::strcmp(t.name, "engine") == 0 ||
+        std::strcmp(t.name, "cache_sim") == 0) {
+      hot += t.self_sec;
     }
-    return sum > 0 ? hot / sum : -1.0;
   }
-  const std::string carried = CarriedProfile();
-  if (carried.empty()) return -1.0;
-  const double sum = SumSelfSec(carried);
-  if (sum <= 0) return -1.0;
-  return (DomainSelfSec(carried, "engine") +
-          DomainSelfSec(carried, "cache_sim")) /
-         sum;
+  return sum > 0 ? hot / sum : 0;
 }
 
 /// Per-domain self/total CPU breakdown. The profiler covers the whole
@@ -610,11 +564,11 @@ void WriteScaleCostJson(FILE* f, const std::vector<ScaleCostPoint>& points) {
   std::fprintf(f, "  },\n");
 }
 
+constexpr char kProfileJson[] = "BENCH_sim_profile.json";
+
 void WriteJson(const RepSeries& cxl, const RepSeries& rdma, int reps,
                const std::vector<ScalingPoint>& scaling,
                const std::vector<ScaleCostPoint>& scale_cost) {
-  // Must be captured before fopen("w") truncates the file.
-  const std::string carried = prof::kEnabled ? "" : CarriedProfile();
   FILE* f = std::fopen("BENCH_sim_throughput.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_sim_throughput.json\n");
@@ -642,102 +596,76 @@ void WriteJson(const RepSeries& cxl, const RepSeries& rdma, int reps,
   std::fprintf(f, "    \"actual_wall_sec\": %.4f,\n", actual);
   std::fprintf(f, "    \"speedup\": %.2f\n",
                actual > 0 ? cold_est / actual : 0.0);
-  std::fprintf(f, "  },\n");
-  if (prof::kEnabled) {
-    // Fresh breakdown from this (POLAR_PROF) build. Throughput numbers from
-    // such a build are instrumented; the committed perf figures above come
-    // from a profiler-free rerun, which carries this section forward.
-    std::fprintf(f, "  \"profile\": {\n");
-    std::fprintf(f, "    \"enabled\": true,\n");
-    std::fprintf(f,
-                 "    \"note\": \"per-domain CPU seconds over the whole "
-                 "process (both configs, all reps), POLAR_PROF build\",\n");
-    std::fprintf(f, "    \"domains\": {\n");
-    const std::vector<prof::DomainTotals> totals = prof::Collect();
-    bool first = true;
-    for (const prof::DomainTotals& t : totals) {
-      if (t.calls == 0) continue;
-      if (!first) std::fprintf(f, ",\n");
-      first = false;
-      std::fprintf(f,
-                   "      \"%s\": {\"calls\": %llu, \"self_sec\": %.4f, "
-                   "\"total_sec\": %.4f}",
-                   t.name, static_cast<unsigned long long>(t.calls),
-                   t.self_sec, t.total_sec);
-    }
-    std::fprintf(f, "\n    }\n");
-    std::fprintf(f, "  }\n");
-  } else if (!carried.empty()) {
-    std::fprintf(f, "  \"profile\": %s\n", carried.c_str());
-  } else {
-    std::fprintf(f,
-                 "  \"profile\": {\"enabled\": false, \"note\": \"build with "
-                 "-DPOLAR_PROF=ON to record a breakdown\"}\n");
-  }
+  std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
 }
 
-/// tools/check.sh --scale: POLAR_SCALE_EXPECT="<serial_steps>,<epoch_steps>"
-/// short-circuits the bench into the 64-instance scale-cost pair alone (a
-/// cold run and one fork of it per mode) — serial vs epoch-parallel
-/// lane_steps are pinned (the at-scale determinism gate), and
-/// POLAR_MAX_SCHED_OPS_PER_STEP caps the per-step scheduler work so an
+/// A POLAR_PROF build's per-domain breakdown, in its own file: throughput
+/// numbers from such a build are instrumented, so it leaves the committed
+/// BENCH_sim_throughput.json to a profiler-free run.
+void WriteProfileJson() {
+  FILE* f = std::fopen(kProfileJson, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", kProfileJson);
+    return;
+  }
+  std::fprintf(f, "{\n");
+  std::fprintf(f, "  \"bench\": \"sim_throughput\",\n");
+  std::fprintf(f,
+               "  \"note\": \"per-domain CPU seconds over the whole process "
+               "(both configs, all reps), POLAR_PROF build\",\n");
+  std::fprintf(f, "  \"domains\": {\n");
+  bool first = true;
+  for (const prof::DomainTotals& t : prof::Collect()) {
+    if (t.calls == 0) continue;
+    if (!first) std::fprintf(f, ",\n");
+    first = false;
+    std::fprintf(f,
+                 "    \"%s\": {\"calls\": %llu, \"self_sec\": %.4f, "
+                 "\"total_sec\": %.4f}",
+                 t.name, static_cast<unsigned long long>(t.calls), t.self_sec,
+                 t.total_sec);
+  }
+  std::fprintf(f, "\n  }\n}\n");
+  std::fclose(f);
+}
+
+/// `--scale-gate` (tools/check.sh --scale): the 64-instance scale-cost pair
+/// alone (a cold run and one fork of it per mode). At the pinned scale the
+/// serial and epoch lane_steps are pinned (the at-scale determinism gate);
+/// at any scale kMaxSchedOpsPerStep caps the per-step scheduler work, so an
 /// O(log lanes) or O(lanes) regression in the scheduler fails CI even
 /// though wall time on a loaded runner would hide it.
-/// kMaxDeviceSlackPages, kMaxSavedFraction and kMaxRedoFraction are the
-/// bytes-per-instance ceilings on the memory ledger, read after the fork.
-int ScaleGate(const char* expect) {
-  unsigned long long want_serial = 0;
-  unsigned long long want_epoch = 0;
-  if (std::sscanf(expect, "%llu,%llu", &want_serial, &want_epoch) != 2) {
-    std::fprintf(stderr, "bad POLAR_SCALE_EXPECT: %s\n", expect);
-    return 2;
-  }
+/// The memory ledger, read after the fork, is held to the
+/// bytes-per-instance ceilings of bench/pins.h.
+int ScaleGate() {
   const std::vector<ScaleCostPoint> points = RunScaleCost({64}, 2);
   PrintScaleCost(points);
   const ScaleCostPoint& serial = points[0];
   const ScaleCostPoint& epoch = points[1];
-  if (serial.lane_steps != want_serial || epoch.lane_steps != want_epoch) {
-    std::fprintf(stderr,
-                 "64-instance lane_steps drift: got serial=%llu epoch=%llu, "
-                 "expected serial=%llu epoch=%llu\n",
-                 static_cast<unsigned long long>(serial.lane_steps),
-                 static_cast<unsigned long long>(epoch.lane_steps),
-                 want_serial, want_epoch);
+  if (AtPinnedScale() &&
+      pins::CheckPins("64-instance", pins::kScale64,
+                      {serial.lane_steps, epoch.lane_steps}) != 0) {
     return 1;
   }
-  std::printf("64-instance lane_steps match POLAR_SCALE_EXPECT (%llu, %llu)\n",
-              want_serial, want_epoch);
-  if (const char* ceiling_env = std::getenv("POLAR_MAX_SCHED_OPS_PER_STEP")) {
-    const double ceiling = std::atof(ceiling_env);
-    if (ceiling <= 0) {
-      std::fprintf(stderr, "bad POLAR_MAX_SCHED_OPS_PER_STEP: %s\n",
-                   ceiling_env);
-      return 2;
+  for (const ScaleCostPoint& p : points) {
+    if (p.SchedOpsPerStep() > pins::kMaxSchedOpsPerStep) {
+      std::fprintf(stderr,
+                   "sched_ops regression (%s): %.2f ops/step > ceiling "
+                   "%.2f — scheduler bookkeeping grew with world size\n",
+                   p.epoch ? "epoch" : "serial", p.SchedOpsPerStep(),
+                   pins::kMaxSchedOpsPerStep);
+      return 1;
     }
-    for (const ScaleCostPoint& p : points) {
-      if (p.SchedOpsPerStep() > ceiling) {
-        std::fprintf(stderr,
-                     "sched_ops regression (%s): %.2f ops/step > ceiling "
-                     "%.2f — scheduler bookkeeping grew with world size\n",
-                     p.epoch ? "epoch" : "serial", p.SchedOpsPerStep(),
-                     ceiling);
-        return 1;
-      }
-    }
-    std::printf("sched_ops/step within ceiling %.2f (serial %.2f, epoch %.2f)\n",
-                ceiling, serial.SchedOpsPerStep(), epoch.SchedOpsPerStep());
   }
-  // Memory ceilings, per instance: the sparse devices may hold at most the
-  // pool region plus kMaxDeviceSlackPages pages, a read-only fork may make
-  // the snapshot save at most kMaxSavedFraction of the device bytes
-  // (copy-before-write of pool metadata only), and the redo log may retain
-  // at most kMaxRedoFraction of the device bytes (the load's checkpoint
-  // frees its records and a read-only window logs nothing).
-  constexpr uint64_t kMaxDeviceSlackPages = 1;
-  constexpr double kMaxSavedFraction = 0.01;
-  constexpr double kMaxRedoFraction = 0.05;
+  std::printf("sched_ops/step within ceiling %.2f (serial %.2f, epoch %.2f)\n",
+              pins::kMaxSchedOpsPerStep, serial.SchedOpsPerStep(),
+              epoch.SchedOpsPerStep());
+  // Memory ceilings, per instance (bench/pins.h).
+  using pins::kMaxDeviceSlackPages;
+  using pins::kMaxRedoFraction;
+  using pins::kMaxSavedFraction;
   for (const ScaleCostPoint& p : points) {
     const uint64_t dev = p.PerInstance(p.memory.device_allocated);
     if (dev > p.region_bytes + kMaxDeviceSlackPages * kPageSize) {
@@ -795,22 +723,17 @@ int ScaleGate(const char* expect) {
   return 0;
 }
 
-int Main() {
+int Main(int argc, char** argv) {
+  const bool scale_gate = argc == 2 && std::strcmp(argv[1], "--scale-gate") == 0;
+  if (argc > 1 && !scale_gate) {
+    std::fprintf(stderr, "usage: %s [--scale-gate]\n", argv[0]);
+    return 2;
+  }
   PrintHeader("sim-core throughput",
               "n/a (infrastructure bench: lane-steps/sec of the simulator)");
-  // Scale gate short-circuit (see ScaleGate): the --scale CI job only wants
-  // the 64-instance pair, not the full rep/scaling machinery.
-  if (const char* scale_expect = std::getenv("POLAR_SCALE_EXPECT")) {
-    return ScaleGate(scale_expect);
-  }
-  // Development aid: POLAR_SCALE_COST_ONLY=1 runs just the scale-cost sweep
-  // (at the current POLAR_BENCH_SCALE) and exits without touching the JSON —
-  // how the committed baseline constants were measured.
-  if (const char* sc_only = std::getenv("POLAR_SCALE_COST_ONLY");
-      sc_only != nullptr && std::atoi(sc_only) != 0) {
-    PrintScaleCost(RunScaleCost({8u, 32u, 64u, 256u}, kScaleCostReps));
-    return 0;
-  }
+  // The --scale CI job only wants the 64-instance pair, not the full
+  // rep/scaling machinery.
+  if (scale_gate) return ScaleGate();
   // Five reps by default: forked reps cost roughly the measurement window
   // alone, so extra repetitions are nearly free and shave best-of noise.
   const char* reps_env = std::getenv("POLAR_BENCH_REPS");
@@ -866,70 +789,43 @@ int Main() {
 
   // Only full-scale runs refresh the committed trajectory file: a quick
   // POLAR_BENCH_SCALE pass must not silently clobber it with numbers from
-  // a smaller workload.
-  if (BenchScale() == 1.0) {
-    WriteJson(cxl, rdma, reps, scaling, scale_cost);
-    std::printf("wrote BENCH_sim_throughput.json\n");
-  } else {
+  // a smaller workload, and a POLAR_PROF build's instrumented numbers go
+  // to their own file.
+  if (BenchScale() != 1.0) {
     std::printf(
         "POLAR_BENCH_SCALE != 1: BENCH_sim_throughput.json not refreshed\n");
+  } else if (prof::kEnabled) {
+    WriteProfileJson();
+    std::printf("wrote %s\n", kProfileJson);
+  } else {
+    WriteJson(cxl, rdma, reps, scaling, scale_cost);
+    std::printf("wrote BENCH_sim_throughput.json\n");
   }
+  if (!AtPinnedScale()) return 0;
 
-  // Determinism gate: POLAR_BENCH_EXPECT="<cxl_steps>,<rdma_steps>" turns
-  // the bench into a bit-identity check (lane_steps is pure virtual-time
-  // output, so it must not move with host speed — only with semantic
-  // changes to the simulation). tools/check.sh --bench uses this; with
-  // POLAR_BENCH_REPS > 1, forked reps are held to the same pin.
-  if (const char* expect = std::getenv("POLAR_BENCH_EXPECT")) {
-    unsigned long long want_cxl = 0;
-    unsigned long long want_rdma = 0;
-    if (std::sscanf(expect, "%llu,%llu", &want_cxl, &want_rdma) != 2) {
-      std::fprintf(stderr, "bad POLAR_BENCH_EXPECT: %s\n", expect);
-      return 2;
-    }
-    if (cxl.best.lane_steps != want_cxl || rdma.best.lane_steps != want_rdma) {
-      std::fprintf(stderr,
-                   "lane_steps drift: got cxl=%llu rdma=%llu, expected "
-                   "cxl=%llu rdma=%llu\n",
-                   static_cast<unsigned long long>(cxl.best.lane_steps),
-                   static_cast<unsigned long long>(rdma.best.lane_steps),
-                   want_cxl, want_rdma);
-      return 1;
-    }
-    std::printf("lane_steps match POLAR_BENCH_EXPECT (%llu, %llu)\n",
-                want_cxl, want_rdma);
+  // Determinism gate: lane_steps is pure virtual-time output, so it must
+  // not move with host speed — only with semantic changes to the
+  // simulation. Forked reps are held to the same pin as the cold one.
+  const bool epoch = harness::ResolveWorldThreads(-1) > 0;
+  if (pins::CheckPins(epoch ? "fig7 epoch" : "fig7 serial",
+                      epoch ? pins::kFig7Epoch : pins::kFig7Serial,
+                      {cxl.best.lane_steps, rdma.best.lane_steps}) != 0) {
+    return 1;
   }
-
-  // Hot-share gate: POLAR_BENCH_MAX_HOT_SHARE="0.93" fails the bench when
-  // the engine+cache_sim domains consume more than that fraction of the
-  // profiled self CPU time. Meaningful on a POLAR_PROF build (fresh
-  // measurement); on other builds it checks the committed profile, which
-  // only moves when a POLAR_PROF run refreshes the JSON.
-  if (const char* max_share = std::getenv("POLAR_BENCH_MAX_HOT_SHARE")) {
-    const double limit = std::atof(max_share);
-    if (limit <= 0 || limit > 1) {
-      std::fprintf(stderr, "bad POLAR_BENCH_MAX_HOT_SHARE: %s\n", max_share);
-      return 2;
-    }
-    const double share = HotSelfShare();
-    if (share < 0) {
-      std::fprintf(stderr,
-                   "POLAR_BENCH_MAX_HOT_SHARE set but no profile available "
-                   "(build with -DPOLAR_PROF=ON or commit one)\n");
-      return 2;
-    }
-    std::printf("hot-path self share (engine+cache_sim, %s): %.1f%% "
-                "(limit %.1f%%)\n",
-                prof::kEnabled ? "fresh" : "committed", 100.0 * share,
-                100.0 * limit);
-    if (share > limit) {
-      std::fprintf(stderr,
-                   "hot-path share regression: %.1f%% > %.1f%% — the "
-                   "engine/cache_sim hot paths grew relative to the rest of "
-                   "the simulator\n",
-                   100.0 * share, 100.0 * limit);
-      return 1;
-    }
+  if (!prof::kEnabled) return 0;
+  // Hot-share gate: fails when the engine+cache_sim domains consume more
+  // than kMaxHotShare of the profiled self CPU time.
+  const double share = HotSelfShare();
+  std::printf("hot-path self share (engine+cache_sim): %.1f%% (limit "
+              "%.1f%%)\n",
+              100.0 * share, 100.0 * pins::kMaxHotShare);
+  if (share > pins::kMaxHotShare) {
+    std::fprintf(stderr,
+                 "hot-path share regression: %.1f%% > %.1f%% — the "
+                 "engine/cache_sim hot paths grew relative to the rest of "
+                 "the simulator\n",
+                 100.0 * share, 100.0 * pins::kMaxHotShare);
+    return 1;
   }
   return 0;
 }
@@ -937,4 +833,6 @@ int Main() {
 }  // namespace
 }  // namespace polarcxl::bench
 
-int main() { return polarcxl::bench::Main(); }
+int main(int argc, char** argv) {
+  return polarcxl::bench::Main(argc, argv);
+}

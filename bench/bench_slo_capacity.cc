@@ -8,8 +8,8 @@
 // chaos-under-peak timeline replays the canonical mixed-fault schedule at
 // near-capacity load ("Black-Friday peak + CXL outage").
 // Full-scale runs refresh BENCH_slo_capacity.json (committed).
-// POLAR_SLO_EXPECT="<cxl>,<dram>,<rdma>,<chaos>" turns the run into a
-// lane_steps bit-identity gate (tools/check.sh --slo).
+// At the pinned scale (POLAR_BENCH_SCALE=0.1) the run is also a lane_steps
+// bit-identity gate against bench/pins.h (tools/check.sh --slo).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -275,34 +275,16 @@ int Main() {
         "POLAR_BENCH_SCALE != 1: BENCH_slo_capacity.json not refreshed\n");
   }
 
-  // Determinism gate: POLAR_SLO_EXPECT="<cxl>,<dram>,<rdma>,<chaos>" pins
-  // the scale-1.0 sweep point's lane_steps per pool plus the
-  // chaos-under-peak run. Open-loop schedules and the serving interleave
-  // must be bit-identical for any sweep/world thread count.
-  if (const char* expect = std::getenv("POLAR_SLO_EXPECT")) {
-    unsigned long long want[4] = {0, 0, 0, 0};
-    if (std::sscanf(expect, "%llu,%llu,%llu,%llu", &want[0], &want[1],
-                    &want[2], &want[3]) != 4) {
-      std::fprintf(stderr, "bad POLAR_SLO_EXPECT: %s\n", expect);
-      return 2;
-    }
-    const size_t base_idx = 2;  // kSweepScales[2] == 1.0
-    unsigned long long got[4] = {runs[0].sweep[base_idx].lane_steps,
-                                 runs[1].sweep[base_idx].lane_steps,
-                                 runs[2].sweep[base_idx].lane_steps,
-                                 chaos.lane_steps};
-    const char* names[4] = {"cxl", "dram", "rdma", "chaos-under-peak"};
-    for (int i = 0; i < 4; i++) {
-      if (got[i] != want[i]) {
-        std::fprintf(stderr,
-                     "slo lane_steps drift (%s): got %llu, expected %llu\n",
-                     names[i], got[i], want[i]);
-        return 1;
-      }
-    }
-    std::printf("slo lane_steps match POLAR_SLO_EXPECT (%s)\n", expect);
-  }
-  return 0;
+  // Determinism gate: the scale-1.0 sweep point's lane_steps per pool plus
+  // the chaos-under-peak run. Open-loop schedules and the serving
+  // interleave must be bit-identical for any sweep/world thread count.
+  if (!AtPinnedScale()) return 0;
+  const size_t base_idx = 2;  // kSweepScales[2] == 1.0
+  return pins::CheckPins("slo", pins::kSloBench,
+                         {runs[0].sweep[base_idx].lane_steps,
+                          runs[1].sweep[base_idx].lane_steps,
+                          runs[2].sweep[base_idx].lane_steps,
+                          chaos.lane_steps});
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // Perf work on the step path has so far been guided by ad-hoc `perf`
 // sessions; this gives every bench a first-class per-subsystem breakdown
 // (cache sim, channels, executor, engine, workload, metrics) that
-// bench_sim_throughput prints and records in BENCH_sim_throughput.json.
+// bench_sim_throughput prints and, at full scale, records in
+// BENCH_sim_profile.json.
 //
 // The profiler is a compile-time feature: configure with -DPOLAR_PROF=ON
 // to enable it. In the default build POLAR_PROF_SCOPE() expands to

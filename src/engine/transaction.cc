@@ -24,7 +24,7 @@ UndoOp UndoOp::Deserialize(const uint8_t* data, size_t len) {
 std::unique_ptr<Transaction> TransactionManager::Begin(
     sim::ExecContext& ctx) {
   ctx.Advance(db_->costs().txn_overhead / 2);
-  return std::unique_ptr<Transaction>(new Transaction(next_txn_id_++));
+  return std::unique_ptr<Transaction>(new Transaction(db_->log()->NewTxnId()));
 }
 
 void TransactionManager::AppendMarker(sim::ExecContext& ctx,

@@ -119,7 +119,6 @@ class TransactionManager {
                                      const UndoOp& op);
 
   Database* db_;
-  uint64_t next_txn_id_ = 1;
   // Write-path scratch (managers are used single-threaded, like the rest of
   // an instance): old-row image for undo capture and the one-record batch
   // handed to AppendMtr's drain overload. Steady state reuses both.

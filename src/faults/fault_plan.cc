@@ -1,9 +1,11 @@
 #include "faults/fault_plan.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace polarcxl::faults {
 
@@ -37,33 +39,41 @@ bool ParseKind(std::string_view token, FaultKind* out) {
   return false;
 }
 
-/// "10ms" / "3us" / "40ns" / "2s" / "1500" (bare = ns) -> Nanos.
+/// "10ms" / "3us" / "40ns" / "2s" / "1500" (bare = ns) -> Nanos. Rejects
+/// negative, NaN and infinite values and any that do not fit in Nanos.
 bool ParseDuration(std::string_view token, Nanos* out) {
   if (token.empty()) return false;
   char* end = nullptr;
   const std::string buf(token);
   const double v = std::strtod(buf.c_str(), &end);
-  if (end == buf.c_str() || v < 0) return false;
+  if (end == buf.c_str()) return false;
   const std::string_view suffix(end);
+  double ns;
   if (suffix.empty() || suffix == "ns") {
-    *out = static_cast<Nanos>(v);
+    ns = v;
   } else if (suffix == "us") {
-    *out = static_cast<Nanos>(v * 1e3);
+    ns = v * 1e3;
   } else if (suffix == "ms") {
-    *out = static_cast<Nanos>(v * 1e6);
+    ns = v * 1e6;
   } else if (suffix == "s") {
-    *out = static_cast<Nanos>(v * 1e9);
+    ns = v * 1e9;
   } else {
     return false;
   }
+  // 2^63 is exact in a double; every double below it converts to Nanos.
+  // The negated form also rejects NaN.
+  if (!(ns >= 0 && ns < 9223372036854775808.0)) return false;
+  *out = static_cast<Nanos>(ns);
   return true;
 }
 
+/// A finite double (NaN and infinities are rejected).
 bool ParseF64(std::string_view token, double* out) {
   char* end = nullptr;
   const std::string buf(token);
   *out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size() && !buf.empty();
+  return end == buf.c_str() + buf.size() && !buf.empty() &&
+         std::isfinite(*out);
 }
 
 bool ParseU64(std::string_view token, uint64_t* out) {
@@ -118,13 +128,16 @@ Status FaultPlan::Validate() const {
       return Status::InvalidArgument(std::string(FaultKindName(e.kind)) +
                                      ": empty or inverted fault window");
     }
-    if (e.probability < 0.0 || e.probability > 1.0) {
+    // Negated so that NaN fails too.
+    if (!(e.probability >= 0.0 && e.probability <= 1.0)) {
       return Status::InvalidArgument(std::string(FaultKindName(e.kind)) +
                                      ": probability outside [0,1]");
     }
-    if (e.extra_latency < 0 || e.per_kb_ns < 0.0) {
+    if (e.extra_latency < 0 || !(e.per_kb_ns >= 0.0) ||
+        !std::isfinite(e.per_kb_ns)) {
       return Status::InvalidArgument(std::string(FaultKindName(e.kind)) +
-                                     ": negative latency inflation");
+                                     ": negative or non-finite latency "
+                                     "inflation");
     }
   }
   // Reject overlapping windows of the same kind aimed at the same target
@@ -264,6 +277,10 @@ Result<FaultPlan> FaultPlan::Parse(std::string_view text) {
     }
     if (!has_at) {
       return Status::InvalidArgument(where + "missing at=<time>");
+    }
+    if (duration > std::numeric_limits<Nanos>::max() - e.at) {
+      return Status::InvalidArgument(where + "fault window ends past the "
+                                     "end of virtual time");
     }
     e.until = e.at + duration;
     plan.events.push_back(e);

@@ -55,8 +55,10 @@ uint32_t ResolveWorldThreads(int requested) {
   if (requested >= 0) return static_cast<uint32_t>(requested);
   const char* env = std::getenv("POLAR_WORLD_THREADS");
   if (env == nullptr || *env == '\0') return 0;
+  // Clamped, not truncated: the executor caps the count at the world's
+  // instance groups (Executor::SetThreads).
   const long v = std::strtol(env, nullptr, 10);
-  return v > 0 ? static_cast<uint32_t>(v) : 0;
+  return v > 0 ? static_cast<uint32_t>(std::min<long>(v, UINT32_MAX)) : 0;
 }
 
 Result<std::unique_ptr<engine::Database>> CreateAndLoad(

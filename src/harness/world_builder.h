@@ -75,7 +75,8 @@ Result<std::unique_ptr<engine::Database>> CreateAndLoad(
 /// Resolves a driver's world_threads knob against POLAR_WORLD_THREADS:
 /// `requested` < 0 reads the env var (unset/0 = serial), otherwise the value
 /// is used as-is. Returns 0 for serial legacy execution, else the
-/// epoch-parallel thread count.
+/// epoch-parallel thread count (the executor runs at most one shard per
+/// instance group).
 uint32_t ResolveWorldThreads(int requested);
 
 /// CPU time of the calling thread in seconds (wall-split accounting; thread

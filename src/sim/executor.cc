@@ -386,8 +386,11 @@ void Executor::SetThreads(uint32_t threads) {
   // structures (and their schedulers' op counters) are thrown away.
   total_steps_base_ = total_steps();
   sched_ops_base_ = sched_ops();
-  num_threads_ = threads;
-  shards_.assign(threads, Shard{});
+  // A shard holds whole instance groups, so shards past the group count
+  // would be empty: their workers would only spin at every barrier.
+  num_threads_ = std::min<uint32_t>(
+      threads, std::max<uint32_t>(1, static_cast<uint32_t>(frames_.size())));
+  shards_.assign(num_threads_, Shard{});
   for (LaneRec& rec : lanes_) {
     rec.shard = rec.group % num_threads_;
     rec.ctx.frame = frames_[rec.group].get();

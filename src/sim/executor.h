@@ -124,8 +124,8 @@ class Executor {
   void EnableEpochParallel(uint32_t threads, Nanos epoch_ns = 10'000);
 
   /// Re-shards an epoch-parallel executor onto `threads` workers (e.g. a
-  /// cached world re-run under a different POLAR_WORLD_THREADS). Quiescent
-  /// calls only.
+  /// cached world re-run under a different POLAR_WORLD_THREADS), capped at
+  /// the number of instance groups. Quiescent calls only.
   void SetThreads(uint32_t threads);
 
   bool epoch_parallel() const { return parallel_; }

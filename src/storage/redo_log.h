@@ -229,6 +229,7 @@ class RedoLog {
     Lsn checkpoint_lsn = 0;
     Nanos last_batch_completion = 0;
     uint64_t next_mtr_id = 1;
+    uint64_t next_txn_id = 1;
   };
   State Capture() const {
     State s;
@@ -240,6 +241,7 @@ class RedoLog {
     s.checkpoint_lsn = checkpoint_lsn_;
     s.last_batch_completion = last_batch_completion_;
     s.next_mtr_id = next_mtr_id_;
+    s.next_txn_id = next_txn_id_;
     return s;
   }
   void Restore(const State& s) {
@@ -251,6 +253,7 @@ class RedoLog {
     checkpoint_lsn_ = s.checkpoint_lsn;
     last_batch_completion_ = s.last_batch_completion;
     next_mtr_id_ = s.next_mtr_id;
+    next_txn_id_ = s.next_txn_id;
   }
 
  private:
@@ -282,10 +285,20 @@ class RedoLog {
   Lsn checkpoint_lsn_ = 0;
   Nanos last_batch_completion_ = 0;
   uint64_t next_mtr_id_ = 1;
+  uint64_t next_txn_id_ = 1;
 
  public:
   /// Allocates a cluster-unique mini-transaction id.
   uint64_t NewMtrId() { return next_mtr_id_++; }
+  /// Allocates a transaction id no earlier transaction on this log used.
+  /// The undo pass tells losers from resolved transactions by txn_id over
+  /// the whole durable log, so every transaction manager over the log (one
+  /// per process lifetime, or several at once) must draw from here: a
+  /// per-manager counter would hand a new transaction the id of a
+  /// committed one and hide it from rollback. The counter survives
+  /// LoseUnflushedTail, as a restart would rebuild it from the log's
+  /// highest id.
+  uint64_t NewTxnId() { return next_txn_id_++; }
 };
 
 }  // namespace polarcxl::storage

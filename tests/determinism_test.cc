@@ -6,6 +6,7 @@
 
 #include <vector>
 
+#include "bench/pins.h"
 #include "harness/instance_driver.h"
 #include "harness/recovery_driver.h"
 #include "harness/sharing_driver.h"
@@ -123,22 +124,29 @@ TEST(DeterminismTest, SerialLoopMatchesParallelSweepAtAnyThreadCount) {
 
 TEST(DeterminismTest, Fig7QuickScaleLaneStepsArePinned) {
   // Pins the exact lane_steps of the bench_sim_throughput workload at quick
-  // scale (the POLAR_BENCH_SCALE=0.1 windows: 4 ms warmup, 12 ms measure).
-  // lane_steps is pure virtual-time output — host speed cannot move it, so
-  // any drift here is a semantic change to the simulation (RNG draw order,
-  // latency arithmetic, cache state machine, eviction order, ...). Such a
-  // change may be intentional, but it must never be an accident: update
-  // these constants (and tools/check.sh) only alongside an explanation of
-  // what changed the simulated execution.
-  PoolingConfig cxl = Fig7PoolingConfig(engine::BufferPoolKind::kCxl);
-  cxl.warmup = Millis(4);
-  cxl.measure = Millis(12);
-  EXPECT_EQ(RunPooling(cxl).lane_steps, 22105u);
-
-  PoolingConfig rdma = Fig7PoolingConfig(engine::BufferPoolKind::kTieredRdma);
-  rdma.warmup = Millis(4);
-  rdma.measure = Millis(12);
-  EXPECT_EQ(RunPooling(rdma).lane_steps, 17460u);
+  // scale (the POLAR_BENCH_SCALE=0.1 windows: 4 ms warmup, 12 ms measure),
+  // serial and epoch-parallel, against bench/pins.h. lane_steps is pure
+  // virtual-time output — host speed cannot move it, so any drift here is
+  // a semantic change to the simulation (RNG draw order, latency
+  // arithmetic, cache state machine, eviction order, ...). The default
+  // single-switch world runs no topology code, so these are also the
+  // pre-fabric pins.
+  auto lane_steps = [](engine::BufferPoolKind kind, int world_threads) {
+    PoolingConfig c = Fig7PoolingConfig(kind);
+    c.warmup = Millis(4);
+    c.measure = Millis(12);
+    c.world_threads = world_threads;
+    return RunPooling(c).lane_steps;
+  };
+  using engine::BufferPoolKind;
+  EXPECT_EQ(pins::CheckPins("fig7 serial", pins::kFig7Serial,
+                            {lane_steps(BufferPoolKind::kCxl, 0),
+                             lane_steps(BufferPoolKind::kTieredRdma, 0)}),
+            0);
+  EXPECT_EQ(pins::CheckPins("fig7 epoch", pins::kFig7Epoch,
+                            {lane_steps(BufferPoolKind::kCxl, 2),
+                             lane_steps(BufferPoolKind::kTieredRdma, 2)}),
+            0);
 }
 
 TEST(DeterminismTest, SeedChangesResultsButNotValidity) {

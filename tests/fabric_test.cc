@@ -375,34 +375,11 @@ harness::PoolingConfig MultiSwitchPooling(int world_threads) {
   return c;
 }
 
-TEST(FabricWorldTest, SingleSwitchDefaultKeepsPinnedLaneSteps) {
-  // The topology subsystem must be invisible when unconfigured: the exact
-  // quick-scale lane_steps pins of the pre-topology driver, serial and
-  // epoch-parallel (see tools/check.sh and DESIGN.md before moving these).
-  harness::PoolingConfig cxl =
-      harness::Fig7PoolingConfig(engine::BufferPoolKind::kCxl);
-  cxl.warmup = Millis(4);
-  cxl.measure = Millis(12);
-  cxl.world_threads = 0;
-  EXPECT_EQ(RunPooling(cxl).lane_steps, 22105u);
-  cxl.world_threads = 2;
-  EXPECT_EQ(RunPooling(cxl).lane_steps, 22107u);
-
-  harness::PoolingConfig rdma =
-      harness::Fig7PoolingConfig(engine::BufferPoolKind::kTieredRdma);
-  rdma.warmup = Millis(4);
-  rdma.measure = Millis(12);
-  rdma.world_threads = 0;
-  EXPECT_EQ(RunPooling(rdma).lane_steps, 17460u);
-  rdma.world_threads = 2;
-  EXPECT_EQ(RunPooling(rdma).lane_steps, 17460u);
-}
-
 TEST(FabricWorldTest, MultiSwitchWorldIsThreadCountInvariant) {
   // The epoch-parallel contract: identical results for EVERY epoch thread
   // count (the serial executor legitimately differs by bounded
-  // epoch-boundary re-steps on shared channels — the same 22105 vs 22107
-  // relationship the single-switch pins encode). The new uplink and
+  // epoch-boundary re-steps on shared channels — the same relationship as
+  // the serial and epoch fig7 pins in bench/pins.h). The new uplink and
   // multi-port channels must not break that.
   const harness::PoolingResult serial = RunPooling(MultiSwitchPooling(0));
   EXPECT_GT(serial.metrics.queries, 0u);

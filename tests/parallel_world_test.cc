@@ -190,5 +190,28 @@ TEST(ParallelWorldTest, CrossGroupParkResumeIsDeferredDeterministically) {
   }
 }
 
+// Shards hold whole instance groups, so a thread count above the group
+// count is capped there instead of starting workers for empty shards.
+TEST(ParallelWorldTest, WorldThreadsAreCappedAtTheGroupCount) {
+  sim::Executor ex;
+  uint64_t steps[2] = {0, 0};  // one counter per lane: shards run in parallel
+  for (NodeId node : {NodeId{0}, NodeId{1}}) {
+    ex.AddLane(
+        [&steps, node](sim::ExecContext& ctx) {
+          steps[node]++;
+          ctx.Advance(1000);
+          return true;
+        },
+        node, nullptr, 0);
+  }
+  ex.EnableEpochParallel(16);
+  EXPECT_EQ(ex.num_threads(), 2u);
+  ex.RunUntil(100000);
+  EXPECT_GT(steps[0], 0u);
+  EXPECT_GT(steps[1], 0u);
+  ex.SetThreads(1);
+  EXPECT_EQ(ex.num_threads(), 1u);
+}
+
 }  // namespace
 }  // namespace polarcxl::harness

@@ -120,6 +120,38 @@ TEST(TransactionTest, FailedStatementDoesNotPoisonUndo) {
   EXPECT_EQ(*db->table(size_t{0})->Get(ctx, 1), std::string(32, 'a'));
 }
 
+/// Redo recovery after a crash of `world`'s database: PolarRecv over the
+/// CXL pool region `region`, or vanilla ARIES into a fresh DRAM pool whose
+/// memory space lands in `*dram`.
+std::unique_ptr<Database> Recover(ExecContext& rctx, TxnWorld* world,
+                                  bool use_polar_recv, MemOffset region,
+                                  std::unique_ptr<sim::MemorySpace>* dram) {
+  DatabaseOptions opt;
+  opt.pool_pages = 512;
+  if (use_polar_recv) {
+    opt.pool_kind = BufferPoolKind::kCxl;
+    bufferpool::CxlBufferPool::Options po;
+    po.capacity_pages = 512;
+    auto pool = std::move(*bufferpool::CxlBufferPool::Attach(
+        rctx, po, region, world->acc, &world->store));
+    pool->SetWal(&world->log);
+    recovery::PolarRecv(rctx, pool.get(), &world->log, sim::CpuCostModel{});
+    return std::move(
+        *Database::OpenWithPool(rctx, world->Env(), opt, std::move(pool)));
+  }
+  opt.pool_kind = BufferPoolKind::kDram;
+  sim::MemorySpace::Options mo;
+  *dram = std::make_unique<sim::MemorySpace>(mo);
+  bufferpool::DramBufferPool::Options po;
+  po.capacity_pages = 512;
+  auto pool = std::make_unique<bufferpool::DramBufferPool>(po, dram->get(),
+                                                           &world->store);
+  pool->SetWal(&world->log);
+  recovery::RecoverAries(rctx, pool.get(), &world->log, sim::CpuCostModel{});
+  return std::move(
+      *Database::OpenWithPool(rctx, world->Env(), opt, std::move(pool)));
+}
+
 /// Crash with a transaction in flight: redo restores its writes (they were
 /// durable), the undo pass rolls them back. With `checkpoint_before_crash`
 /// a checkpoint lands between the loser's writes and the crash, so the
@@ -167,38 +199,12 @@ void CrashWithLoserAndRecover(bool use_polar_recv,
   world.log.LoseUnflushedTail();
   db.reset();
 
-  // Recover.
   ExecContext rctx;
   rctx.now = crash_time;
-  DatabaseOptions opt;
-  opt.pool_pages = 512;
   // Declared before db2 so the DRAM pool's memory space outlives it.
   std::unique_ptr<sim::MemorySpace> dram;
-  std::unique_ptr<Database> db2;
-  if (use_polar_recv) {
-    opt.pool_kind = BufferPoolKind::kCxl;
-    bufferpool::CxlBufferPool::Options po;
-    po.capacity_pages = 512;
-    auto pool = std::move(*bufferpool::CxlBufferPool::Attach(
-        rctx, po, region, world.acc, &world.store));
-    pool->SetWal(&world.log);
-    recovery::PolarRecv(rctx, pool.get(), &world.log, sim::CpuCostModel{});
-    db2 = std::move(
-        *Database::OpenWithPool(rctx, world.Env(), opt, std::move(pool)));
-  } else {
-    opt.pool_kind = BufferPoolKind::kDram;
-    sim::MemorySpace::Options mo;
-    dram = std::make_unique<sim::MemorySpace>(mo);
-    bufferpool::DramBufferPool::Options po;
-    po.capacity_pages = 512;
-    auto pool = std::make_unique<bufferpool::DramBufferPool>(po, dram.get(),
-                                                             &world.store);
-    pool->SetWal(&world.log);
-    recovery::RecoverAries(rctx, pool.get(), &world.log,
-                           sim::CpuCostModel{});
-    db2 = std::move(
-        *Database::OpenWithPool(rctx, world.Env(), opt, std::move(pool)));
-  }
+  std::unique_ptr<Database> db2 =
+      Recover(rctx, &world, use_polar_recv, region, &dram);
 
   // Undo pass.
   auto stats = recovery::UndoLoserTransactions(rctx, db2.get());
@@ -232,6 +238,42 @@ INSTANTIATE_TEST_SUITE_P(Schemes, LoserTxnTest, ::testing::Bool(),
                          [](const auto& info) {
                            return info.param ? "polar_recv" : "vanilla";
                          });
+
+TEST(TransactionTest, LoserOfASecondManagerIsRolledBack) {
+  // Two managers over one database, as after a restart over the same log.
+  // The undo pass tells losers by txn_id over the whole durable log, so
+  // manager B's first transaction must not reuse the id of A's committed
+  // one: if it did, A's commit marker would hide B's undo records.
+  TxnWorld world;
+  auto db = world.MakeDb(BufferPoolKind::kDram);
+  ExecContext ctx;
+  uint64_t committed_id = 0;
+  {
+    TransactionManager a(db.get());
+    auto t = a.Begin(ctx);
+    committed_id = t->id();
+    ASSERT_TRUE(a.Update(ctx, t.get(), 0, 10, std::string(32, 'W')).ok());
+    ASSERT_TRUE(a.Commit(ctx, t.get()).ok());
+  }
+  TransactionManager b(db.get());
+  auto loser = b.Begin(ctx);
+  EXPECT_NE(loser->id(), committed_id);
+  ASSERT_TRUE(b.Update(ctx, loser.get(), 0, 20, std::string(32, 'L')).ok());
+  world.log.Flush(ctx);  // B's undo is durable, its commit marker is not
+  world.log.LoseUnflushedTail();
+  db.reset();
+
+  ExecContext rctx;
+  rctx.now = ctx.now;
+  std::unique_ptr<sim::MemorySpace> dram;
+  std::unique_ptr<Database> db2 =
+      Recover(rctx, &world, /*use_polar_recv=*/false, 0, &dram);
+  auto stats = recovery::UndoLoserTransactions(rctx, db2.get());
+  EXPECT_EQ(stats.loser_txns, 1u);
+  EXPECT_EQ(stats.undo_ops_applied, 1u);
+  EXPECT_EQ(*db2->table(size_t{0})->Get(rctx, 10), std::string(32, 'W'));
+  EXPECT_EQ(*db2->table(size_t{0})->Get(rctx, 20), std::string(32, 'a'));
+}
 
 TEST(TransactionTest, RandomizedAtomicityProperty) {
   TxnWorld world;

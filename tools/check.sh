@@ -31,52 +31,17 @@ cd "$(dirname "$0")/.."
 
 JOBS="${JOBS:-$(nproc)}"
 
-# Quick-scale (POLAR_BENCH_SCALE=0.1) lane_steps for the fig7 bench point.
-# Pure virtual-time output: immune to host speed, moved only by semantic
-# changes to the simulation. Keep in sync with the pinned constants in
-# tests/determinism_test.cc (Fig7QuickScaleLaneStepsArePinned).
-BENCH_EXPECT_QUICK="22105,17460"
-
-# Quick-scale lane_steps for the fig14 chaos bench (cxl,dram,tiered_rdma
-# under the canonical fault schedule). Keep in sync with the pinned
-# constants in tests/faults_test.cc (CanonicalScheduleLaneStepsPinned).
-CHAOS_EXPECT_QUICK="27857,35212,25375"
-
-# Quick-scale fig7 lane_steps under the epoch-parallel discipline
-# (POLAR_WORLD_THREADS >= 1). Differs from BENCH_EXPECT_QUICK by design:
-# deferred cross-shard charges observe window-frozen channel ledgers, which
-# shifts a handful of completions on multi-instance shared channels. The
-# value is identical for EVERY thread count — that is the gate.
-BENCH_EXPECT_QUICK_EPOCH="22107,17460"
-
-# Quick-scale lane_steps for the slo-capacity bench (the scale-1.0 sweep
-# point for cxl, dram, tiered_rdma, plus the chaos-under-peak run). Pure
-# virtual-time output: every admission, shed, retry, and arrival is on the
-# simulated clock, so the pins hold for ANY sweep/world thread count.
-SLO_EXPECT_QUICK="47468,47328,41387,35498"
-
-# Quick-scale lane_steps for the fabric-topology bench's 2-switch reference
-# point (8 instances, round-robin page interleave, 1 GB/s device ports):
-# serial value, then the epoch value shared by every POLAR_WORLD_THREADS
-# count (the bench itself sweeps 1/2/4 and fails on divergence).
-FABRIC_EXPECT_QUICK="5666,5666"
-
-# Quick-scale 64-instance lane_steps for the scale-cost sweep (fig7 CXL
-# pooling world at 64 instances): serial, then epoch (POLAR_WORLD_THREADS=1).
-# Same virtual-time purity as the other pins.
-SCALE_EXPECT_QUICK="87662,87766"
-
-# Ceiling on scheduler bookkeeping per lane-step at 64 instances. The
-# timing wheel holds ~2.1-2.2 ops/step flat across 8..256 instances; the
-# old binary heap paid ~9-11 (O(log n) sift levels per step). 3.0 leaves
-# headroom for noise while catching any return to O(log n) behaviour.
-SCALE_MAX_SCHED_OPS="3.0"
-
-# Ceiling on the engine+cache_sim share of profiled self CPU time (see
-# POLAR_BENCH_MAX_HOT_SHARE in bench_sim_throughput.cc). The third-wave
-# hot-path work measured ~90%; a build where the pool re-virtualizes or a
-# probe path bloats pushes past this.
-BENCH_MAX_HOT_SHARE="0.93"
+# Every pinned lane_steps value and gate ceiling lives in bench/pins.h. The
+# benches check their own pins whenever they run at POLAR_BENCH_SCALE=0.1,
+# so the legs below only pick the scale, the thread counts and the builds.
+MODE="${1:-}"
+case "$MODE" in
+  ""|--fast|--bench|--faults|--snapshot|--parallel|--slo|--fabric|--scale) ;;
+  *)
+    sed -n '2,/^set -euo/s/^# \{0,1\}//p' tools/check.sh >&2
+    exit 2
+    ;;
+esac
 
 echo "==> tier-1: configure + build + ctest"
 # POLAR_CMAKE_FLAGS lets CI matrix legs reconfigure the tier-1 build (e.g.
@@ -86,18 +51,16 @@ cmake -B build -S . ${POLAR_CMAKE_FLAGS:-} >/dev/null
 cmake --build build -j "$JOBS" >/dev/null
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-if [[ "${1:-}" == "--fast" ]]; then
+if [[ "$MODE" == "--fast" ]]; then
   echo "==> OK (fast mode: sanitizer pass skipped)"
   exit 0
 fi
 
-if [[ "${1:-}" == "--bench" ]]; then
+if [[ "$MODE" == "--bench" ]]; then
   echo "==> bench: quick-scale sim-throughput bit-identity gate"
-  # Fails on lane_steps drift (POLAR_BENCH_EXPECT); the wall-clock numbers
-  # it prints are informational only — quick scale is too short to gate on.
-  POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=1 \
-    POLAR_BENCH_EXPECT="$BENCH_EXPECT_QUICK" \
-    build/bench/bench_sim_throughput
+  # Fails on lane_steps drift; the wall-clock numbers it prints are
+  # informational only — quick scale is too short to gate on.
+  POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=1 build/bench/bench_sim_throughput
   echo "==> bench: POLAR_NO_SIMD leg (scalar kernels, same pins)"
   # The SIMD kernels are host-side only: the scalar build must retire the
   # exact same lane_steps, and the kernel equivalence tests must pass with
@@ -107,22 +70,20 @@ if [[ "${1:-}" == "--bench" ]]; then
     --target bench_sim_throughput kernel_test >/dev/null
   build-nosimd/tests/kernel_test
   POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=1 \
-    POLAR_BENCH_EXPECT="$BENCH_EXPECT_QUICK" \
     build-nosimd/bench/bench_sim_throughput
   echo "==> bench: POLAR_PROF hot-share regression gate"
-  # A profiled quick run measures where simulator CPU time goes; the gate
-  # fails if the engine+cache_sim hot paths grew past the pinned share.
+  # A profiled quick run measures where simulator CPU time goes; a
+  # POLAR_PROF build of the bench fails if the engine+cache_sim hot paths
+  # grew past the pinned share.
   cmake -B build-prof -S . -DPOLAR_PROF=ON -DPOLAR_LTO=OFF >/dev/null
   cmake --build build-prof -j "$JOBS" --target bench_sim_throughput >/dev/null
   POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=1 \
-    POLAR_BENCH_EXPECT="$BENCH_EXPECT_QUICK" \
-    POLAR_BENCH_MAX_HOT_SHARE="$BENCH_MAX_HOT_SHARE" \
     build-prof/bench/bench_sim_throughput
   echo "==> OK (bench mode: sanitizer pass skipped)"
   exit 0
 fi
 
-if [[ "${1:-}" == "--faults" ]]; then
+if [[ "$MODE" == "--faults" ]]; then
   echo "==> faults: ASan+UBSan build of the fault suite"
   cmake -B build-asan -S . -DPOLAR_SANITIZE=ON -DPOLAR_LTO=OFF >/dev/null
   cmake --build build-asan -j "$JOBS" \
@@ -133,19 +94,17 @@ if [[ "${1:-}" == "--faults" ]]; then
   done
   echo "==> faults: quick-scale chaos bit-identity gate (threads 1 vs many)"
   # Same canonical schedule, serial and parallel sweeps: lane_steps must
-  # match the pinned values either way (POLAR_CHAOS_EXPECT exits 1 on
-  # drift). Wall-clock throughput at quick scale is informational only.
+  # match the pinned values either way (the bench exits 1 on drift).
+  # Wall-clock throughput at quick scale is informational only.
   POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=1 POLAR_SWEEP_THREADS=1 \
-    POLAR_CHAOS_EXPECT="$CHAOS_EXPECT_QUICK" \
     build/bench/bench_fig14_fault_resilience >/dev/null
   POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=1 \
-    POLAR_CHAOS_EXPECT="$CHAOS_EXPECT_QUICK" \
     build/bench/bench_fig14_fault_resilience
   echo "==> OK (faults mode)"
   exit 0
 fi
 
-if [[ "${1:-}" == "--snapshot" ]]; then
+if [[ "$MODE" == "--snapshot" ]]; then
   echo "==> snapshot: ASan+UBSan build of the snapshot suite"
   cmake -B build-asan -S . -DPOLAR_SANITIZE=ON -DPOLAR_LTO=OFF >/dev/null
   cmake --build build-asan -j "$JOBS" --target snapshot_test >/dev/null
@@ -154,16 +113,13 @@ if [[ "${1:-}" == "--snapshot" ]]; then
   echo "==> snapshot: quick-scale cold-vs-fork bit-identity gate"
   # Rep 1 builds the fig7 quick-scale world cold; rep 2 forks its snapshot.
   # Both reps must retire the pinned lane_steps (the bench exits 1 if a
-  # forked rep diverges from the cold one, and POLAR_BENCH_EXPECT pins the
-  # absolute values).
-  POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=2 \
-    POLAR_BENCH_EXPECT="$BENCH_EXPECT_QUICK" \
-    build/bench/bench_sim_throughput
+  # forked rep diverges from the cold one or from the pins).
+  POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=2 build/bench/bench_sim_throughput
   echo "==> OK (snapshot mode)"
   exit 0
 fi
 
-if [[ "${1:-}" == "--parallel" ]]; then
+if [[ "$MODE" == "--parallel" ]]; then
   echo "==> parallel: epoch-parallel determinism suite"
   build/tests/parallel_world_test
   echo "==> parallel: quick-scale bench identity across POLAR_WORLD_THREADS"
@@ -173,15 +129,13 @@ if [[ "${1:-}" == "--parallel" ]]; then
   for n in 1 2 4; do
     echo "==> POLAR_WORLD_THREADS=$n"
     POLAR_WORLD_THREADS="$n" POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=1 \
-      POLAR_BENCH_EXPECT="$BENCH_EXPECT_QUICK_EPOCH" \
       build/bench/bench_sim_throughput >/dev/null
   done
   echo "==> parallel: chaos gate at POLAR_WORLD_THREADS=2 (serial pins)"
   # Chaos worlds are single-group, so the epoch discipline replays the
   # serial timeline exactly — the UNCHANGED serial pins must hold.
   POLAR_WORLD_THREADS=2 POLAR_BENCH_SCALE=0.1 POLAR_BENCH_REPS=1 \
-    POLAR_SWEEP_THREADS=1 POLAR_CHAOS_EXPECT="$CHAOS_EXPECT_QUICK" \
-    build/bench/bench_fig14_fault_resilience >/dev/null
+    POLAR_SWEEP_THREADS=1 build/bench/bench_fig14_fault_resilience >/dev/null
   echo "==> parallel: TSan build of executor/snapshot/faults suites"
   cmake -B build-tsan -S . -DPOLAR_SANITIZE=thread -DPOLAR_LTO=OFF >/dev/null
   cmake --build build-tsan -j "$JOBS" \
@@ -194,7 +148,7 @@ if [[ "${1:-}" == "--parallel" ]]; then
   exit 0
 fi
 
-if [[ "${1:-}" == "--slo" ]]; then
+if [[ "$MODE" == "--slo" ]]; then
   echo "==> slo: ASan+UBSan build of the open-loop suite"
   cmake -B build-asan -S . -DPOLAR_SANITIZE=ON -DPOLAR_LTO=OFF >/dev/null
   cmake --build build-asan -j "$JOBS" --target open_loop_test >/dev/null
@@ -204,21 +158,17 @@ if [[ "${1:-}" == "--slo" ]]; then
   # Open-loop arrival schedules are counter-mode (a pure function of seed,
   # tenant, and index) and all serving runs on the virtual clock, so the
   # same pins must hold serial, sweep-parallel, and epoch-parallel
-  # (POLAR_SLO_EXPECT exits 1 on drift).
+  # (the bench exits 1 on drift).
   POLAR_BENCH_SCALE=0.1 POLAR_SWEEP_THREADS=1 \
-    POLAR_SLO_EXPECT="$SLO_EXPECT_QUICK" \
     build/bench/bench_slo_capacity >/dev/null
   POLAR_BENCH_SCALE=0.1 POLAR_SWEEP_THREADS=4 \
-    POLAR_SLO_EXPECT="$SLO_EXPECT_QUICK" \
     build/bench/bench_slo_capacity >/dev/null
-  POLAR_BENCH_SCALE=0.1 POLAR_WORLD_THREADS=4 \
-    POLAR_SLO_EXPECT="$SLO_EXPECT_QUICK" \
-    build/bench/bench_slo_capacity
+  POLAR_BENCH_SCALE=0.1 POLAR_WORLD_THREADS=4 build/bench/bench_slo_capacity
   echo "==> OK (slo mode)"
   exit 0
 fi
 
-if [[ "${1:-}" == "--fabric" ]]; then
+if [[ "$MODE" == "--fabric" ]]; then
   echo "==> fabric: ASan+UBSan build of the fabric suite"
   cmake -B build-asan -S . -DPOLAR_SANITIZE=ON -DPOLAR_LTO=OFF >/dev/null
   cmake --build build-asan -j "$JOBS" --target fabric_test >/dev/null
@@ -226,32 +176,24 @@ if [[ "${1:-}" == "--fabric" ]]; then
   build-asan/tests/fabric_test
   echo "==> fabric: quick-scale multi-switch bit-identity gate"
   # The bench runs its 2-switch reference point serial and epoch-parallel
-  # (threads 1/2/4 must agree internally); POLAR_FABRIC_EXPECT pins the
-  # absolute serial and epoch lane_steps (exit 1 on drift).
-  POLAR_BENCH_SCALE=0.1 \
-    POLAR_FABRIC_EXPECT="$FABRIC_EXPECT_QUICK" \
-    build/bench/bench_fabric_topology
+  # (threads 1/2/4 must agree internally) and pins the absolute serial and
+  # epoch lane_steps (exit 1 on drift).
+  POLAR_BENCH_SCALE=0.1 build/bench/bench_fabric_topology
   echo "==> OK (fabric mode)"
   exit 0
 fi
 
-if [[ "${1:-}" == "--scale" ]]; then
+if [[ "$MODE" == "--scale" ]]; then
   # The executor always runs the timing wheel; the flat binary heap lives on
   # only as this suite's oracle (LaneScheduler::Mode::kHeap).
   echo "==> scale: scheduler wheel-vs-heap-oracle equivalence suite"
   build/tests/scheduler_test
   echo "==> scale: 64-instance quick sweep (pins + ops and memory ceilings)"
-  # POLAR_SCALE_EXPECT pins the 64-instance lane_steps for both execution
-  # modes (exit 1 on drift); POLAR_MAX_SCHED_OPS_PER_STEP fails the gate
-  # if per-step scheduler work regresses toward O(log n). The gate also
-  # applies three fixed bytes-per-instance ceilings to the memory ledger
-  # (ScaleGate in bench_sim_throughput.cc): device bytes <= pool region +
-  # 1 page, bytes saved by a read-only fork <= 1 % of device bytes, and
-  # retained redo bytes <= 5 % of device bytes.
-  POLAR_BENCH_SCALE=0.1 \
-    POLAR_SCALE_EXPECT="$SCALE_EXPECT_QUICK" \
-    POLAR_MAX_SCHED_OPS_PER_STEP="$SCALE_MAX_SCHED_OPS" \
-    build/bench/bench_sim_throughput
+  # --scale-gate pins the 64-instance lane_steps for both execution modes,
+  # fails if per-step scheduler work regresses toward O(log n), and applies
+  # the bytes-per-instance ceilings to the memory ledger: device bytes,
+  # bytes saved by a read-only fork, and retained redo bytes.
+  POLAR_BENCH_SCALE=0.1 build/bench/bench_sim_throughput --scale-gate
   echo "==> OK (scale mode)"
   exit 0
 fi
